@@ -233,6 +233,8 @@ def cmd_mzi(args) -> int:
 def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
+    if not (np.isfinite(args.a_min) and np.isfinite(args.a_max)):
+        raise UsageError("--a-min and --a-max must be finite")
     if not args.a_max >= args.a_min:
         raise UsageError("--a-max must not be below --a-min")
     grid = np.linspace(args.a_min, args.a_max, args.steps)

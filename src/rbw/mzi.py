@@ -16,7 +16,7 @@ operator rather than by relabeling the detectors.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -49,6 +49,9 @@ __all__ = [
 
 SWEEP_COLUMNS = ("a", "p_D1", "p_D2", "ReT", "ImT")
 
+# rows formatted per write: bounds the Python objects alive while streaming
+_CSV_CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class Element:
@@ -58,7 +61,7 @@ class Element:
     a: float | None = None
 
     def token(self) -> str:
-        return f"phase:{self.a:g}" if self.kind == "phase" else self.kind
+        return f"phase:{float(self.a)!r}" if self.kind == "phase" else self.kind
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,31 @@ def beam_splitter_op(k0: float) -> np.ndarray:
     return (np.eye(2) - 1j * reflection_op(a0, k0)) / np.sqrt(2)
 
 
+@functools.lru_cache(maxsize=8)
+def _operators(k0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q, Q^dagger and S(0) for a validated wave number, built once and
+    frozen so that every caller can share them."""
+    q = beam_splitter_op(k0)
+    ops = (q, q.conj().T, reflection_op(0.0, k0))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
+def _phase_array(phase_values: Iterable[float]) -> np.ndarray:
+    a = np.fromiter(phase_values, dtype=float)
+    if not np.isfinite(a).all():
+        raise MalformedPipeline("phase plate needs a finite shift, e.g. phase:0.3")
+    return a
+
+
+def _require_unit_norm(norm2: np.ndarray, tol: float | None) -> None:
+    """Fail unless every squared norm is within tol of one; NaN fails."""
+    bad = ~(np.abs(norm2 - 1.0) <= resolve(tol))
+    if bad.any():
+        raise ValueError(f"ket norm^2 = {float(norm2[bad][0]):.6g}, expected 1")
+
+
 # ----------------------------------------------------------------- pipeline
 
 def _validate_pipeline(elements: Sequence[Element]) -> None:
@@ -160,7 +188,7 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
     k0 = _require_wavenumber(k0)
     _validate_pipeline(elements)
 
-    q = beam_splitter_op(k0)
+    q, q_dag, s0 = _operators(k0)
     ket = plus_ket()
     stages: list[tuple[str, np.ndarray]] = []
     bs_seen = 0
@@ -170,10 +198,10 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
             label = "source"
         elif e.kind == "bs":
             bs_seen += 1
-            ket = (q if bs_seen == 1 else q.conj().T) @ ket
+            ket = (q if bs_seen == 1 else q_dag) @ ket
             label = f"bs{bs_seen}"
         elif e.kind == "mirrors":
-            ket = reflection_op(0.0, k0) @ ket
+            ket = s0 @ ket
             label = "mirrors"
         elif e.kind == "phase":
             ket = translation_op(e.a, k0) @ ket
@@ -193,21 +221,20 @@ def expectation_T(ket: np.ndarray, a: float, k0: float,
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     if ket.shape != (2,):
         raise ValueError(f"ket must have two components, got {ket.shape}")
-    norm = float(np.vdot(ket, ket).real)
-    if abs(norm - 1.0) > resolve(tol):
-        raise ValueError(f"ket norm^2 = {norm:.6g}, expected 1")
+    _require_unit_norm(np.array([np.vdot(ket, ket).real]), tol)
     return complex(np.vdot(ket, translation_op(a, k0) @ ket))
 
 
-def density_from_sweep(k0: float, phase_values: Iterable[float]) -> list[np.ndarray]:
-    """Post-interferometer states diag(cos^2(k0 a), sin^2(k0 a)),
-    one per phase-plate setting."""
+def density_from_sweep(k0: float, phase_values: Iterable[float]) -> np.ndarray:
+    """Post-interferometer states diag(cos^2(k0 a), sin^2(k0 a)), stacked
+    as an (n, 2, 2) complex array, one per phase-plate setting."""
     k0 = _require_wavenumber(k0)
-    out = []
-    for a in phase_values:
-        c, s = np.cos(k0 * a), np.sin(k0 * a)
-        out.append(np.diag([c * c + 0j, s * s + 0j]))
-    return out
+    a = _phase_array(phase_values)
+    c, s = np.cos(k0 * a), np.sin(k0 * a)
+    rho = np.zeros((a.size, 2, 2), dtype=complex)
+    rho[:, 0, 0] = c * c
+    rho[:, 1, 1] = s * s
+    return rho
 
 
 def hamiltonian_expectation(rho: np.ndarray, energy: float) -> float:
@@ -228,27 +255,44 @@ def sample_clicks(clicks: ClickDistribution, shots: int, seed: int = 0) -> tuple
 
 # -------------------------------------------------------------------- sweep
 
-def sweep_rows(k0: float, phase_values: Iterable[float]
-               ) -> list[tuple[float, float, float, float, float]]:
+def sweep_rows(k0: float, phase_values: Iterable[float]) -> np.ndarray:
     """Full-interferometer response per phase setting: detector
-    probabilities and the complex translation average at that setting."""
+    probabilities and the complex translation average at that setting.
+
+    Returns an (n, 5) float array with columns SWEEP_COLUMNS.  Only T(a)
+    depends on the phase, so S(0) Q |+> is formed once and every setting
+    costs one diagonal product and one Q^dagger product.
+    """
     k0 = _require_wavenumber(k0)
-    rows = []
-    for a in phase_values:
-        elements = [Element("source"), Element("bs"), Element("mirrors"),
-                    Element("phase", float(a)), Element("bs"), Element("detector")]
-        result = run_pipeline(elements, k0)
-        t_avg = expectation_T(result.ket, float(a), k0)
-        rows.append((float(a), result.clicks.p_D1, result.clicks.p_D2,
-                     t_avg.real, t_avg.imag))
+    a = _phase_array(phase_values)
+    q, q_dag, s0 = _operators(k0)
+    arm = s0 @ (q @ plus_ket())
+    # k0 a may overflow; the norm check below rejects the non-finite kets
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (n, 2, 1) column kets: each stacked product rounds as in run_pipeline
+        t_diag = np.stack([np.exp(-1j * k0 * a), np.exp(1j * k0 * a)],
+                          axis=1)[:, :, None]
+        ket = q_dag @ (t_diag * arm[:, None])
+    clicks = np.abs(ket[:, :, 0]) ** 2
+    _require_unit_norm(clicks.sum(axis=1), None)
+    t_avg = (ket.conj().swapaxes(1, 2) @ (t_diag * ket))[:, 0, 0]
+
+    rows = np.empty((a.size, len(SWEEP_COLUMNS)))
+    rows[:, 0] = a
+    rows[:, 1:3] = clicks
+    rows[:, 3] = t_avg.real
+    rows[:, 4] = t_avg.imag
     return rows
 
 
 def write_sweep_csv(rows, stream, precision: int = 12) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([f"{v:.{precision}g}" for v in row])
+    """Header plus one line per row, each value as %.{precision}g."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(SWEEP_COLUMNS))
+    line = ",".join([f"%.{precision}g"] * len(SWEEP_COLUMNS)) + "\n"
+    stream.write(",".join(SWEEP_COLUMNS) + "\n")
+    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+        chunk = rows[start:start + _CSV_CHUNK_ROWS].tolist()
+        stream.write("".join([line % tuple(row) for row in chunk]))
 
 
 # ---------------------------------------------------------------- documents

@@ -189,6 +189,24 @@ def test_sweep_rejects_bad_grid(capsys, bad):
     assert "error" in err
 
 
+@pytest.mark.parametrize("a_max", ["1e308", "inf", "nan"])
+def test_sweep_non_finite_rows_exit_1(capsys, a_max):
+    code, out, err = run(capsys, "sweep", "--k0=2", "--a-min=0",
+                         f"--a-max={a_max}", "--steps=3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_overflow_writes_no_file(capsys, tmp_path):
+    path = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--k0=2", "--a-min=0", "--a-max=1e308",
+                       "--steps=3", "--output", str(path))
+    assert code == 1
+    assert "norm" in err
+    assert not path.exists()
+
+
 # ------------------------------------------------------------------ mzi
 
 def test_mzi_inline_elements(capsys):

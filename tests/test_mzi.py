@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from rbw import mzi
 from rbw.errors import MalformedPipeline
 from rbw.mzi import (
     Element,
@@ -26,6 +27,7 @@ from rbw.mzi import (
 )
 
 K0 = 2.0
+SWEEP_ATOL = 8 * 2.0 ** -52   # batch kernel vs the scalar loop, per column
 
 
 def elements(*tokens):
@@ -132,6 +134,32 @@ def test_phase_plate_interference(a):
     assert result.clicks.p_D2 == pytest.approx(np.sin(K0 * a) ** 2)
 
 
+@pytest.mark.parametrize("k0", [0.5, 2.0, 9.9])
+@pytest.mark.parametrize("a", [0.0, 0.37, -1.2])
+def test_pipeline_stages_bit_identical_to_fresh_operators(k0, a):
+    result = run_pipeline(
+        elements("source", "bs", "mirrors", f"phase:{a}", "bs", "detector"), k0)
+    q = beam_splitter_op(k0)
+    want = [plus_ket()]
+    for op in (q, reflection_op(0.0, k0), translation_op(a, k0), q.conj().T):
+        want.append(op @ want[-1])
+    want.append(want[-1])
+    assert [label for label, _ in result.stages] == [
+        "source", "bs1", "mirrors", f"phase({a:g})", "bs2", "detector"]
+    for (label, ket), w in zip(result.stages, want):
+        assert np.array_equal(ket, w), label
+    assert result.clicks.p_D1 == float(abs(want[-1][0]) ** 2)
+
+
+def test_cached_operators_are_read_only():
+    for op in mzi._operators(K0):
+        assert not op.flags.writeable
+    fresh = beam_splitter_op(K0)
+    fresh[:] = 0.0
+    result = run_pipeline(elements("source", "bs", "mirrors", "bs", "detector"), K0)
+    assert result.clicks.p_D1 == pytest.approx(1.0)
+
+
 def test_stage_norms_preserved():
     result = run_pipeline(
         elements("source", "bs", "mirrors", "phase:0.7", "bs", "detector"), K0)
@@ -203,6 +231,12 @@ def test_expectation_rejects_unnormalized():
         expectation_T(np.array([1.0, 1.0]), 0.1, K0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expectation_rejects_non_finite_ket(bad):
+    with pytest.raises(ValueError, match="norm"):
+        expectation_T(np.array([bad, 0.0]), 0.1, K0)
+
+
 # ------------------------------------------------------- sweep and tag-along
 
 def test_density_sweep_endpoints():
@@ -210,6 +244,17 @@ def test_density_sweep_endpoints():
     assert np.allclose(rhos[0], np.diag([1.0, 0.0]), atol=1e-15)
     assert np.allclose(rhos[1], np.diag([0.5, 0.5]), atol=1e-15)
     assert np.allclose(rhos[2], np.diag([0.0, 1.0]), atol=1e-14)
+
+
+def test_density_sweep_matches_scalar_loop():
+    grid = np.linspace(-3.0, 3.0, 2001)
+    rhos = density_from_sweep(K0, grid)
+    assert rhos.shape == (2001, 2, 2) and rhos.dtype == complex
+    want = []
+    for a in grid:
+        c, s = np.cos(K0 * a), np.sin(K0 * a)
+        want.append(np.diag([c * c + 0j, s * s + 0j]))
+    assert np.max(np.abs(rhos - np.array(want))) <= SWEEP_ATOL
 
 
 def test_density_sweep_matches_pipeline_clicks():
@@ -268,6 +313,64 @@ def test_sweep_rows_frozen_point():
     assert im_t == pytest.approx(np.sqrt(3) / 4)
 
 
+def reference_sweep_rows(k0, phase_values):
+    """The per-point loop the batch kernel replaces."""
+    rows = []
+    for a in phase_values:
+        a = float(a)
+        result = run_pipeline([Element("source"), Element("bs"), Element("mirrors"),
+                               Element("phase", a), Element("bs"),
+                               Element("detector")], k0)
+        t_avg = expectation_T(result.ket, a, k0)
+        rows.append((a, result.clicks.p_D1, result.clicks.p_D2,
+                     t_avg.real, t_avg.imag))
+    return np.array(rows)
+
+
+def assert_matches_reference(k0, grid):
+    got = sweep_rows(k0, grid)
+    assert got.shape == (len(grid), 5) and got.dtype == np.float64
+    worst = np.max(np.abs(got - reference_sweep_rows(k0, grid)), axis=0)
+    assert np.all(worst <= SWEEP_ATOL), worst
+
+
+@pytest.mark.parametrize("k0", [0.5, 2.0, 6.2832, 9.9])
+def test_sweep_rows_match_scalar_loop(k0):
+    assert_matches_reference(k0, np.linspace(-1.5, 2.5, 2001))
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(0.4, 0.4, 1),          # steps=1
+    np.linspace(0.7, 0.7, 5),          # a_min == a_max
+    np.linspace(-3.0, -0.5, 41),       # negative range
+])
+def test_sweep_rows_edge_grids_match_scalar_loop(grid):
+    assert_matches_reference(K0, grid)
+
+
+def test_sweep_rows_do_not_loop_over_pipelines(monkeypatch):
+    def per_point(*args, **kwargs):
+        raise AssertionError("sweep_rows called a per-point routine")
+    monkeypatch.setattr(mzi, "run_pipeline", per_point)
+    monkeypatch.setattr(mzi, "expectation_T", per_point)
+    rows = mzi.sweep_rows(K0, np.linspace(-1.0, 1.0, 1000))
+    assert rows.shape == (1000, 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sweep_rejects_non_finite_phase(bad):
+    with pytest.raises(MalformedPipeline, match="finite shift"):
+        sweep_rows(K0, [0.0, bad])
+    with pytest.raises(MalformedPipeline, match="finite shift"):
+        density_from_sweep(K0, [bad])
+
+
+def test_sweep_rejects_overflowing_phase():
+    # k0 a overflows to inf: the kets turn NaN and the norm check fails closed
+    with pytest.raises(ValueError, match="norm"):
+        sweep_rows(K0, [0.0, 5e307, 1e308])
+
+
 def test_sweep_csv_format():
     buf = io.StringIO()
     write_sweep_csv(sweep_rows(K0, [0.0, 0.5]), buf)
@@ -279,6 +382,16 @@ def test_sweep_csv_format():
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(1.0)
+
+
+def test_sweep_csv_streams_in_chunks(monkeypatch):
+    monkeypatch.setattr(mzi, "_CSV_CHUNK_ROWS", 7)
+    rows = sweep_rows(K0, np.linspace(-1.0, 1.0, 20))
+    buf = io.StringIO()
+    write_sweep_csv(rows, buf, precision=9)
+    want = "a,p_D1,p_D2,ReT,ImT\n" + "".join(
+        ",".join(f"{v:.9g}" for v in row) + "\n" for row in rows.tolist())
+    assert buf.getvalue() == want
 
 
 # ---------------------------------------------------------------- documents
@@ -293,6 +406,17 @@ def test_pipeline_document_roundtrip():
     assert els[3].a == pytest.approx(0.3)
     doc = pipeline_document(k0, els)
     assert doc["elements"][3] == "phase:0.3"
+
+
+@pytest.mark.parametrize("a", [0.123456789, 0.1 + 0.2, -1e-300, 2.5e17,
+                               np.float64(0.3)])
+def test_pipeline_document_roundtrip_is_lossless(a):
+    els = elements("source", "bs", "mirrors", "bs", "detector")
+    els.insert(3, Element("phase", a))
+    k0, back = load_pipeline(pipeline_document(6.2832, els))
+    assert k0 == 6.2832
+    assert back[3].a == a
+    assert run_pipeline(back, k0).stages[3][0] == f"phase({a:g})"
 
 
 @pytest.mark.parametrize("doc", [
