@@ -35,13 +35,7 @@ from .errors import (
     RBWError,
     UsageError,
 )
-from .grouprep import (
-    load_group,
-    load_irreps,
-    orthogonality_residual,
-    resolution_identity,
-    verify_irrep,
-)
+from .grouprep import load_group, load_irreps, verify_irrep
 from .tolerance import resolve
 
 __all__ = ["build_parser", "main"]
@@ -158,30 +152,17 @@ def cmd_group_check(args) -> int:
     p = args.precision
     print(f"group ok: {group.N} elements, identity {group.identity!r}, "
           f"{len(irreps)} irrep(s)")
-    failed = False
-    for name in sorted(irreps):
-        irr = irreps[name]
-        report = verify_irrep(irr)
-        ortho = orthogonality_residual(irr)
-        resol = max(
-            float(np.max(np.abs(resolution_identity(irr, g) - irr.matrix(g))))
-            for g in group.elements)
-        notes = list(report.failures)
-        if ortho > report.tolerance:
-            notes.append(f"orthogonality residual {ortho:.3e} exceeds "
-                         f"{report.tolerance:.1e}")
-        if resol > report.tolerance:
-            notes.append(f"resolution residual {resol:.3e} exceeds "
-                         f"{report.tolerance:.1e}")
-        verdict = "OK" if not notes else "FAIL"
-        print(f"irrep {name}: n={irr.n} unitarity={_fmt(report.max_unitarity_residual, p)} "
+    reports = [verify_irrep(irreps[name]) for name in sorted(irreps)]
+    for report in reports:
+        print(f"irrep {report.name}: n={report.n} unitarity={_fmt(report.max_unitarity_residual, p)} "
               f"homomorphism={_fmt(report.max_homomorphism_residual, p)} "
               f"character-norm={_fmt(report.irreducibility_indicator, p)} "
-              f"orthogonality={_fmt(ortho, p)} resolution={_fmt(resol, p)} {verdict}")
-        for note in notes:
+              f"orthogonality={_fmt(report.orthogonality_residual, p)} "
+              f"resolution={_fmt(report.resolution_residual, p)} "
+              f"{'OK' if report.ok else 'FAIL'}")
+        for note in report.failures:
             print(f"  - {note}")
-        failed = failed or bool(notes)
-    return 2 if failed else 0
+    return 0 if all(report.ok for report in reports) else 2
 
 
 def cmd_reconstruct(args) -> int:
@@ -392,9 +373,19 @@ def cmd_selftest(args) -> int:
 
 # --------------------------------------------------------------- dispatch
 
+def _digits(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--precision", type=int, default=12, metavar="DIGITS",
+    common.add_argument("--precision", type=_digits, default=12, metavar="DIGITS",
                         help="significant digits for numeric output (default 12)")
 
     parser = _Parser(prog="rbw", description=__doc__,

@@ -301,9 +301,12 @@ def load_pipeline(document: Mapping) -> tuple[float, list[Element]]:
     """Parse `{k0: real, elements: ["source","bs","phase:0.3",...]}`."""
     try:
         k0 = _require_wavenumber(document["k0"])
-        tokens = list(document["elements"])
+        tokens = document["elements"]
     except (KeyError, TypeError) as exc:
         raise MalformedPipeline(f"pipeline document needs k0 and elements: {exc}")
+    if not isinstance(tokens, list):
+        raise MalformedPipeline(f"pipeline document field 'elements' must be a JSON array, "
+                                f"got {type(tokens).__name__}")
     elements = []
     for tok in tokens:
         if not isinstance(tok, str):

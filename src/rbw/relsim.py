@@ -254,9 +254,15 @@ def corealness_chain() -> ScenarioReport:
 
 def load_events(document: Mapping) -> list[SpacetimeEvent]:
     """Parse `{frame: name, events: [{label, t, x}]}`."""
+    if not isinstance(document, Mapping):
+        raise ValueError(f"event document must be a JSON object, got {type(document).__name__}")
     frame = document.get("frame", "lab")
+    entries = document.get("events", [])
+    if not isinstance(entries, list):
+        raise ValueError("event document field 'events' must be a JSON array, "
+                         f"got {type(entries).__name__}")
     out = []
-    for i, entry in enumerate(document.get("events", [])):
+    for i, entry in enumerate(entries):
         try:
             out.append(SpacetimeEvent(t=float(entry["t"]), x=float(entry["x"]),
                                       frame=frame,

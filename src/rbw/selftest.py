@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, contraction, mzi, relsim, symmetry_state
-from .grouprep import load_group, orthogonality_residual, resolution_identity
+from .grouprep import load_group, orthogonality_residual, verify_irrep
 
 __all__ = ["CheckFailed", "CheckResult", "all_checks", "run_checks"]
 
@@ -326,9 +326,7 @@ def check_group_orthogonality() -> str:
 
 
 def check_group_resolution() -> str:
-    irr = catalog.s3_irreps()["standard"]
-    worst = max(float(np.max(np.abs(resolution_identity(irr, g) - irr.matrix(g))))
-                for g in irr.group.elements)
+    worst = verify_irrep(catalog.s3_irreps()["standard"]).resolution_residual
     _need(worst < 1e-10, f"resolution residual {worst:.3e}")
     return f"worst residual {worst:.2e} over all six elements"
 

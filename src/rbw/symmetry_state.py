@@ -28,7 +28,7 @@ from .errors import (
     NotHermitian,
     NotUnitary,
 )
-from .grouprep import Irrep, complex_from_pair, pair_from_complex, pairs_from_matrix
+from .grouprep import Irrep, _checked, complex_from_pair, pair_from_complex, pairs_from_matrix
 from .tolerance import PHYSICALITY_THRESHOLD, resolve
 
 __all__ = [
@@ -79,19 +79,8 @@ def expectations_from_state(rho: np.ndarray, irrep: Irrep) -> ExpectationSet:
     if rho.shape != (irrep.n, irrep.n):
         raise DimensionMismatch(
             f"state is {rho.shape}, irrep {irrep.name!r} is {(irrep.n, irrep.n)}")
-    values = {g: complex(np.trace(rho @ irrep.D[g])) for g in irrep.group.elements}
-    return ExpectationSet(irrep=irrep, values=values)
-
-
-def _check_conjugation(expectations: ExpectationSet, tol: float) -> None:
-    group = expectations.irrep.group
-    for g in group.elements:
-        vg = expectations.values[g]
-        vginv = expectations.values[group.inv(g)]
-        if abs(vginv - np.conj(vg)) > tol:
-            raise InconsistentExpectations(
-                f"<D({group.inv(g)})> = {vginv} is not the conjugate of "
-                f"<D({g})> = {vg}")
+    traces = np.trace(rho @ irrep.stacked(), axis1=1, axis2=2)
+    return ExpectationSet(irrep=irrep, values=dict(zip(irrep.group.elements, traces.tolist())))
 
 
 def reconstruct_density(expectations: ExpectationSet,
@@ -112,24 +101,28 @@ def reconstruct_density(expectations: ExpectationSet,
     missing = expectations.missing_elements()
     if missing:
         raise InconsistentExpectations(f"missing averages for {list(missing)}")
+    v = np.array([expectations.values[g] for g in group.elements], dtype=complex)
     if validate:
-        _check_conjugation(expectations, tol)
+        # <D(g^-1)> must be the conjugate of <D(g)>; name the first g that is not
+        bad = np.flatnonzero(~(np.abs(v[group.inverse] - v.conj()) <= tol))
+        if len(bad):
+            g = group.elements[bad[0]]
+            raise InconsistentExpectations(
+                f"<D({group.inv(g)})> = {expectations.values[group.inv(g)]} is not the "
+                f"conjugate of <D({g})> = {expectations.values[g]}")
 
-    rho = np.zeros((n, n), dtype=complex)
-    for g in group.elements:
-        rho += irrep.matrix_inv(g) * expectations.values[g]
-    rho *= n / group.N
+    d = irrep.stacked()
+    rho = (d[group.inverse] * v[:, None, None]).sum(axis=0) * (n / group.N)
 
     if validate:
-        worst, worst_g = 0.0, group.identity
-        for g in group.elements:
-            r = abs(complex(np.trace(rho @ irrep.D[g])) - expectations.values[g])
-            if r > worst:
-                worst, worst_g = r, g
-        if worst > tol:
+        # argmax names the first worst element, or the first NaN
+        off = np.abs(np.trace(rho @ d, axis1=1, axis2=2) - v)
+        worst_i = int(np.argmax(off))
+        worst = float(off[worst_i])
+        if not worst <= tol:
             raise InconsistentExpectations(
                 f"averages are not realizable by any {n}x{n} state: "
-                f"reconstructed <D({worst_g})> is off by {worst:.3e}")
+                f"reconstructed <D({group.elements[worst_i]})> is off by {worst:.3e}")
 
         eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
         trace = float(np.trace(rho).real)
@@ -157,7 +150,7 @@ def eigendecompose(rho: np.ndarray,
     tol = resolve(tol)
     rho = np.asarray(rho, dtype=complex)
     herm_residual = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_residual > tol:
+    if not herm_residual <= tol:
         raise NotHermitian(f"max |rho - rho^dag| = {herm_residual:.3e}")
 
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
@@ -194,7 +187,7 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
             f"state {rho.shape} vs operator {symmetry.shape}")
     n = rho.shape[0]
     unit_residual = float(np.max(np.abs(symmetry @ symmetry.conj().T - np.eye(n))))
-    if unit_residual > tol:
+    if not unit_residual <= tol:
         raise NotUnitary(f"max |U U^dag - I| = {unit_residual:.3e}")
 
     # complex Schur form of a unitary is diagonal with orthonormal columns,
@@ -233,7 +226,7 @@ def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray],
             f"ket has dimension {zeta.shape[0]}, basis vectors {basis.shape[0]}")
     gram_residual = float(np.max(np.abs(basis.conj().T @ basis
                                         - np.eye(basis.shape[1]))))
-    if gram_residual > tol:
+    if not gram_residual <= tol:
         raise NonOrthonormalBasis(f"max |<b_i|b_j> - delta_ij| = {gram_residual:.3e}")
     return basis.conj().T @ zeta
 
@@ -242,10 +235,14 @@ def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray],
 
 def load_expectations(document: Mapping, irrep: Irrep) -> ExpectationSet:
     """Parse `{irrep: name, values: {g: [re, im]}}` against a known irrep."""
+    _checked(document, dict, "expectation document")
     name = document.get("irrep")
     if name != irrep.name:
         raise ValueError(f"document is for irrep {name!r}, not {irrep.name!r}")
-    values = {g: complex_from_pair(pair) for g, pair in document["values"].items()}
+    if "values" not in document:
+        raise ValueError("expectation document is missing field 'values'")
+    values = {g: complex_from_pair(pair) for g, pair in
+              _checked(document["values"], dict, "expectation document field 'values'").items()}
     es = ExpectationSet(irrep=irrep, values=values)
     missing = es.missing_elements()
     if missing:

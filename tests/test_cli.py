@@ -505,3 +505,57 @@ def test_selftest_failure_exits_two(capsys, monkeypatch):
     assert code == 2
     assert "FAIL rel-gamma" in out
     assert "induced failure" in out
+
+
+# ------------------------------------------------------ malformed documents
+
+def _z2(**changes):
+    return {**catalog.builtin_documents()["z2"], **changes}
+
+
+def _z2_sign(r_entry):
+    return _z2(irreps={"sign": {"n": 1, "matrices": {"e": [[[1, 0]]], "r": [[r_entry]]}}})
+
+
+_RECONSTRUCT_Z2 = ["reconstruct", "--group", "builtin:z2", "--irrep", "sign", "--expectations"]
+
+
+@pytest.mark.parametrize("argv,doc,needle", [
+    (["group-check", "--group"], _z2(irreps={"sign": {"matrices": {"e": [[[1, 0]]]}}}),
+     "missing field 'n'"),
+    (["group-check", "--group"], _z2(elements="er"), "'elements' must be a JSON array"),
+    (["group-check", "--group"], _z2(mul=[["e", "e", "e"]]), "'mul' must be a JSON object"),
+    (["group-check", "--group"], _z2(irreps=[]), "'irreps' must be a JSON object"),
+    (["group-check", "--group"], _z2_sign(["NaN", 0]), "finite"),
+    (["group-check", "--group"], _z2_sign([float("inf"), 0]), "finite"),
+    (_RECONSTRUCT_Z2, {"irrep": "sign"}, "missing field 'values'"),
+    (_RECONSTRUCT_Z2, {"irrep": "sign", "values": [[1, 0], [-1, 0]]},
+     "'values' must be a JSON object"),
+    (_RECONSTRUCT_Z2, {"irrep": "sign", "values": {"e": [1, 0], "r": ["NaN", 0]}}, "finite"),
+    (_RECONSTRUCT_Z2, [{"irrep": "sign"}], "must be a JSON object"),
+    (["boost", "--v", "0.6c", "--events"], [{"t": 0, "x": 1000}], "must be a JSON object"),
+    (["boost", "--v", "0.6c", "--events"], {"events": {"t": 0, "x": 1000}},
+     "'events' must be a JSON array"),
+    (["mzi", "--pipeline"], {"k0": 2.0, "elements": "source"},
+     "'elements' must be a JSON array"),
+], ids=["irrep-without-n", "string-elements", "list-mul", "list-irreps", "nan-matrix",
+        "inf-matrix", "no-values", "list-values", "nan-average", "list-expectations",
+        "list-events-document", "object-events", "string-pipeline-elements"])
+def test_malformed_document_is_one_line_error(capsys, tmp_path, argv, doc, needle):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("argv", [["group-check", "--group", "builtin:z2"], ["selftest"],
+                                  ["boost", "--v", "0.6c", "--t", "0", "--x", "1"]])
+@pytest.mark.parametrize("digits", ["0", "-1"])
+def test_precision_below_one_is_usage_error(capsys, argv, digits):
+    code, out, err = run(capsys, *argv, "--precision", digits)
+    assert code == 1
+    assert out == ""
+    assert "--precision" in err and "at least 1" in err

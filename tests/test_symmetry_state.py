@@ -1,5 +1,7 @@
 """State reconstruction from symmetry averages."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -343,3 +345,65 @@ def test_density_document_shape():
     assert doc["n"] == 2
     assert doc["eigenvalues"] == pytest.approx([0.75, 0.25])
     assert doc["matrix"][0][0] == pytest.approx([0.75, 0.0])
+
+
+# ------------------------------------------------------- fail closed on NaN
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_averages_rejected(bad):
+    sign = catalog.z2_irreps()["sign"]
+    for values in ({"e": 1.0 + 0j, "r": complex(bad)}, {"e": complex(bad), "r": 1.0 + 0j}):
+        with pytest.raises(InconsistentExpectations):
+            reconstruct_density(ExpectationSet(irrep=sign, values=values))
+
+
+def test_unrealizable_names_the_worst_element():
+    irr = catalog.s3_irreps()["standard"]
+    values = dict(expectations_from_state(np.eye(2) / 2, irr).values)
+    values["e"] += 0.1
+    values["(12)"] += 0.3
+    es = ExpectationSet(irrep=irr, values=values)
+    rho = reconstruct_density(es, validate=False)
+    # the first element with the largest forward-map deviation, as a loop
+    worst, worst_g = 0.0, None
+    for g in irr.group.elements:
+        r = abs(np.trace(rho @ irr.matrix(g)) - values[g])
+        if r > worst:
+            worst, worst_g = r, g
+    assert worst_g == "(13)"
+    with pytest.raises(InconsistentExpectations, match=rf"<D\({re.escape(worst_g)}\)> is off by {worst:.3e}"):
+        reconstruct_density(es)
+
+
+def test_conjugation_names_the_first_element():
+    irr = catalog.s3_irreps()["standard"]
+    values = dict(expectations_from_state(np.eye(2) / 2, irr).values)
+    values["(123)"] += 0.2j
+    with pytest.raises(InconsistentExpectations,
+                       match=r"<D\(\(132\)\)> = .* is not the conjugate of <D\(\(123\)\)>"):
+        reconstruct_density(ExpectationSet(irrep=irr, values=values))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_fail_the_spectral_guards(bad):
+    poisoned = np.array([[0.5, 0.0], [0.0, bad]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        eigendecompose(poisoned)
+    with pytest.raises(NotUnitary):
+        outcome_probabilities(np.eye(2) / 2, poisoned)
+    with pytest.raises(NonOrthonormalBasis):
+        expand_eigenket([1, 0], [poisoned[0], poisoned[1]])
+
+
+@pytest.mark.parametrize("document,match", [
+    ([], "must be a JSON object"),
+    ({"irrep": "sign"}, "missing field 'values'"),
+    ({"irrep": "sign", "values": [[1, 0], [-1, 0]]}, "'values' must be a JSON object"),
+    ({"irrep": "sign", "values": {"e": [1, 0], "r": ["NaN", 0]}}, "finite"),
+    ({"irrep": "sign", "values": {"e": [1, 0], "r": [None, 0]}}, "pair"),
+])
+def test_malformed_expectation_documents(document, match):
+    with pytest.raises(ValueError, match=match):
+        load_expectations(document, catalog.z2_irreps()["sign"])
