@@ -8,7 +8,6 @@ contraction from the relativistic to the nonrelativistic algebra.
 
 from . import catalog, contraction, grouprep, mzi, relsim, selftest, symmetry_state
 from .contraction import (
-    bracket,
     ccr_check,
     contract,
     galilean_table,
@@ -64,7 +63,6 @@ __all__ = [
     "__version__",
     "beam_splitter_op",
     "boost_event",
-    "bracket",
     "catalog",
     "ccr_check",
     "contract",

@@ -315,6 +315,9 @@ def cmd_contract(args) -> int:
     mass = _fraction(args.m, "--m")
     if hbar <= 0 or mass <= 0:
         raise UsageError("--hbar and --m must be positive")
+    c_value = None if args.c is None else _fraction(args.c, "--c")
+    if c_value is not None and c_value <= 0:
+        raise UsageError("--c must be positive")
 
     table = contraction.poincare_table()
     contracted = contraction.contract(table, hbar, mass)
@@ -322,10 +325,7 @@ def cmd_contract(args) -> int:
 
     print(contraction.format_table(table))
     print()
-    if args.c is not None:
-        c_value = _fraction(args.c, "--c")
-        if c_value <= 0:
-            raise UsageError("--c must be positive")
+    if c_value is not None:
         print(contraction.format_table(table, c=c_value))
         print()
     print(contraction.format_table(contracted))

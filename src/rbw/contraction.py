@@ -1,15 +1,17 @@
 """Structure-constant engine for the boost-translation algebra and its
 nonrelativistic limit.
 
-Bracket coefficients are polynomials in eps = 1/c^2 over complex
-rationals, so antisymmetry and the Jacobi identity are checked as exact
-polynomial identities, never as float comparisons.  The limit c to
-infinity is taken in two steps: the time-translation generator is
-rescaled into a mass generator M = lim eps*hbar*T0, then eps is set to
-zero.  Momentum P_i = hbar*T_i against position Q_n = -(hbar/m)*K_n
-then closes on the central element, [P_i, Q_n] = -i*hbar*delta_in*I,
-while the same recipe on the algebra with the 1/c^2 terms deleted
-up front returns zero brackets and no such pair.
+A table is one antisymmetric int64 array f[deg, a, b, c] = (re, im), the
+Gaussian-integer coefficient of eps**deg e_c in [e_a, e_b], eps = 1/c^2.
+Generator a is scale[a] * e_a for an exact Fraction scale, applied only
+when a coefficient leaves the engine, so the Jacobi identity and the
+limit c to infinity are exact integer operations, never float checks.
+
+The limit is an Inonu-Wigner contraction: T0 is rescaled into the mass
+generator M = hbar*eps*T0 and the degree-0 slice is kept.  Momentum
+P_i = hbar*T_i against position Q_n = -(hbar/m)*K_n then closes on the
+central element, [P_i, Q_n] = -i*hbar*delta_in*I (the Bargmann extension),
+while the algebra with the 1/c^2 terms deleted up front gives no such pair.
 
 Note on signs: with [T0,K_n] = i T_n and [K_i,K_n] = -(i/c^2) J_k, the
 Jacobi identity on (T_i, K_i, K_n) forces [T_i, K_n] = +(i/c^2)
@@ -23,7 +25,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
+
+import numpy as np
 
 from .errors import MNotCentral, UnknownGenerator
 
@@ -33,7 +37,6 @@ __all__ = [
     "BracketTable",
     "JacobiResult",
     "CCRResult",
-    "bracket",
     "poincare_table",
     "galilean_table",
     "contract",
@@ -48,22 +51,17 @@ __all__ = [
 Scalar = Union[int, str, Fraction, float]
 
 
-def _fraction(value: Scalar, name: str = "value") -> Fraction:
+def _positive_fraction(value: Scalar, name: str) -> Fraction:
     try:
         out = Fraction(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"{name} must be rational, got {value!r}") from exc
-    return out
-
-
-def _positive_fraction(value: Scalar, name: str) -> Fraction:
-    out = _fraction(value, name)
     if out <= 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return out
 
 
-# ------------------------------------------------------------ scalar field
+# ---------------------------------------------------------- result values
 
 @dataclass(frozen=True)
 class RationalComplex:
@@ -72,18 +70,9 @@ class RationalComplex:
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
-    def __add__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "RationalComplex") -> "RationalComplex":
         return RationalComplex(self.re * other.re - self.im * other.im,
                                self.re * other.im + self.im * other.re)
-
-    def __neg__(self) -> "RationalComplex":
-        return RationalComplex(-self.re, -self.im)
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -92,13 +81,8 @@ class RationalComplex:
         return math.hypot(float(self.re), float(self.im))
 
     def __str__(self) -> str:
-        def frac(q: Fraction) -> str:
-            return str(q)
-
-        if not self:
-            return "0"
         if self.im == 0:
-            return frac(self.re)
+            return str(self.re)
         if self.im == 1:
             im = "i"
         elif self.im == -1:
@@ -106,31 +90,17 @@ class RationalComplex:
         elif self.im.denominator == 1:
             im = f"{self.im}i"
         else:
-            im = f"({frac(self.im)})i"
+            im = f"({self.im})i"
         if self.re == 0:
             return im
         sign = "+" if self.im > 0 else ""
-        return f"({frac(self.re)}{sign}{im})"
+        return f"({self.re}{sign}{im})"
 
-
-QC_ZERO = RationalComplex()
-QC_ONE = RationalComplex(Fraction(1))
-QC_I = RationalComplex(Fraction(0), Fraction(1))
-
-
-def _qc(re: Scalar = 0, im: Scalar = 0) -> RationalComplex:
-    return RationalComplex(_fraction(re), _fraction(im))
-
-
-# --------------------------------------------------------------- eps powers
 
 @dataclass(frozen=True)
 class EpsPoly:
-    """Exact polynomial (Laurent, briefly, during rescaling) in eps = 1/c^2.
-
-    `terms` maps degree to a nonzero rational-complex coefficient and is
-    stored as a sorted tuple so instances hash and compare by value.
-    """
+    """Exact polynomial in eps = 1/c^2: each degree with its nonzero
+    coefficient, sorted by degree, so instances compare by value."""
 
     terms: tuple[tuple[int, RationalComplex], ...] = ()
 
@@ -138,125 +108,77 @@ class EpsPoly:
     def of(coeff: RationalComplex, degree: int = 0) -> "EpsPoly":
         return EpsPoly(((degree, coeff),)) if coeff else EpsPoly()
 
-    @staticmethod
-    def const(re: Scalar = 0, im: Scalar = 0) -> "EpsPoly":
-        return EpsPoly.of(_qc(re, im))
-
-    def __add__(self, other: "EpsPoly") -> "EpsPoly":
-        acc = dict(self.terms)
-        for d, c in other.terms:
-            acc[d] = acc.get(d, QC_ZERO) + c
-        return EpsPoly(tuple(sorted((d, c) for d, c in acc.items() if c)))
-
-    def __neg__(self) -> "EpsPoly":
-        return EpsPoly(tuple((d, -c) for d, c in self.terms))
-
-    def __sub__(self, other: "EpsPoly") -> "EpsPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "EpsPoly") -> "EpsPoly":
-        acc: dict[int, RationalComplex] = {}
-        for d1, c1 in self.terms:
-            for d2, c2 in other.terms:
-                acc[d1 + d2] = acc.get(d1 + d2, QC_ZERO) + c1 * c2
-        return EpsPoly(tuple(sorted((d, c) for d, c in acc.items() if c)))
-
-    def scale(self, coeff: RationalComplex) -> "EpsPoly":
-        return EpsPoly(tuple((d, c * coeff) for d, c in self.terms)) if coeff \
-            else EpsPoly()
-
-    def times_eps(self, power: int) -> "EpsPoly":
-        return EpsPoly(tuple((d + power, c) for d, c in self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def at(self, eps: Fraction) -> RationalComplex:
-        out = QC_ZERO
-        for d, c in self.terms:
-            out = out + c * _qc(eps ** d)
-        return out
-
-    def limit(self) -> RationalComplex:
-        """Value as eps -> 0; positive degrees vanish."""
-        for d, c in self.terms:
-            if d < 0:
-                raise ValueError(f"diverges as eps -> 0: degree {d} term {c}")
-        return dict(self.terms).get(0, QC_ZERO)
-
-    def constant_part(self) -> "EpsPoly":
-        return EpsPoly(tuple((d, c) for d, c in self.terms if d == 0))
-
-    def max_magnitude(self) -> float:
-        return max((abs(c) for _, c in self.terms), default=0.0)
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for d, c in self.terms:
-            if d == 0:
-                parts.append(str(c))
-            elif d > 0:
-                parts.append(f"{c}/c^{2 * d}")
-            else:
-                parts.append(f"{c}*c^{-2 * d}")
-        return " + ".join(parts)
+        parts = [str(c) if d == 0 else f"{c}/c^{2 * d}" for d, c in self.terms]
+        return " + ".join(parts) or "0"
 
 
 # Linear combinations of generators: label -> coefficient polynomial.
 Combo = dict[str, EpsPoly]
 
 
-def _combo_add(a: Combo, b: Combo) -> Combo:
-    out = dict(a)
-    for g, p in b.items():
-        q = out.get(g, EpsPoly()) + p
-        if q.is_zero():
-            out.pop(g, None)
-        else:
-            out[g] = q
-    return out
-
-
-def _combo_scale(combo: Combo, poly: EpsPoly) -> Combo:
-    out = {}
-    for g, p in combo.items():
-        q = p * poly
-        if not q.is_zero():
-            out[g] = q
-    return out
+def _combo(table: "BracketTable", row: np.ndarray, k: Fraction,
+           eps: Fraction | None = None, mass: Fraction | None = None) -> Combo:
+    """k * sum_c row[deg, c] eps**deg e_c over generators g_c = scale[c] e_c,
+    exactly; evaluated at eps when given, and with M read as m I when
+    mass is given."""
+    acc: dict[str, dict[int, tuple[Fraction, Fraction]]] = {}
+    for d, column in enumerate(row.tolist()):
+        for c, (re, im) in enumerate(column):
+            if re or im:
+                g, w = table.generators[c], k / table.scale[c]
+                if mass is not None and g == "M":
+                    g, w = "I", w * mass
+                w, at = (w, d) if eps is None else (w * eps ** d, 0)
+                old_re, old_im = acc.setdefault(g, {}).get(at, (0, 0))
+                acc[g][at] = (old_re + w * re, old_im + w * im)
+    polys = {g: EpsPoly(tuple((d, RationalComplex(re, im))
+                              for d, (re, im) in sorted(terms.items()) if re or im))
+             for g, terms in acc.items()}
+    return {g: p for g, p in polys.items() if p.terms}
 
 
 def format_combo(combo: Combo) -> str:
-    if not combo:
-        return "0"
-    parts = []
-    for g in sorted(combo):
-        poly = combo[g]
-        text = str(poly)
-        if len(poly.terms) > 1:
-            text = f"({text})"
-        parts.append(f"{text} {g}")
-    return " + ".join(parts)
+    parts = [f"({p}) {g}" if len(p.terms) > 1 else f"{p} {g}" for g, p in sorted(combo.items())]
+    return " + ".join(parts) or "0"
 
 
 # -------------------------------------------------------------------- table
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BracketTable:
-    """Antisymmetric bracket over named generators.
-
-    Entries are stored for one orientation only (earlier generator
-    first), so antisymmetry holds structurally; the Jacobi identity is
-    the nontrivial thing to check.
-    """
+    """Antisymmetric bracket over named generators: `f` as in the module
+    docstring, `generators[a]` = `scale[a]` e_a (scale 1 unless given).
+    The array is copied read-only and must be antisymmetric and small
+    enough for every Jacobi sum to stay exact in int64."""
 
     name: str
     generators: tuple[str, ...]
-    entries: Mapping[tuple[str, str], Combo]
-    hbar: Fraction | None = None
-    mass: Fraction | None = None
+    f: np.ndarray
+    scale: tuple[Fraction, ...] = ()
+
+    def __post_init__(self):
+        n = len(self.generators)
+        f = np.array(self.f)
+        if f.dtype != np.int64 or f.ndim != 5 or f.shape[1:] != (n, n, n, 2) or not f.size:
+            raise ValueError(f"structure constants must be int64 of shape "
+                             f"(degrees, {n}, {n}, {n}, 2), got {f.dtype} {f.shape}")
+        if len(set(self.generators)) != n:
+            raise ValueError(f"generator names repeat: {self.generators}")
+        scale = tuple(Fraction(s) for s in self.scale) or (Fraction(1),) * n
+        if len(scale) != n or not all(scale):
+            raise ValueError(f"need {n} nonzero generator scales, got {self.scale}")
+        if not np.array_equal(f, -f.swapaxes(1, 2)):
+            raise ValueError("structure constants are not antisymmetric")
+        # a Jacobi sum adds 3 cyclic terms x len(f) degree pairs x n
+        # two-term Gaussian products
+        bound = math.isqrt((2 ** 63 - 1) // (6 * n * len(f)))
+        if ((f > bound) | (f < -bound)).any():
+            raise ValueError(f"structure constants exceed {bound}, past which "
+                             "the Jacobi sums would not stay exact in int64")
+        f.setflags(write=False)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "scale", scale)
 
     def index(self, g: str) -> int:
         try:
@@ -265,41 +187,9 @@ class BracketTable:
             raise UnknownGenerator(g) from None
 
     def bracket(self, x: str, y: str) -> Combo:
-        ix, iy = self.index(x), self.index(y)
-        if ix == iy:
-            return {}
-        if ix < iy:
-            return dict(self.entries.get((x, y), {}))
-        flipped = self.entries.get((y, x), {})
-        return {g: -p for g, p in flipped.items()}
-
-
-def bracket(x: str, y: str, table: BracketTable) -> Combo:
-    """[x, y] as a linear combination of the table's generators."""
-    return table.bracket(x, y)
-
-
-def _build(name: str, generators: Sequence[str],
-           raw: Mapping[tuple[str, str], Combo], **meta) -> BracketTable:
-    order = {g: i for i, g in enumerate(generators)}
-    entries: dict[tuple[str, str], Combo] = {}
-    for (a, b), combo in raw.items():
-        if a not in order or b not in order:
-            raise UnknownGenerator(a if a not in order else b)
-        for g in combo:
-            if g not in order:
-                raise UnknownGenerator(g)
-        combo = {g: p for g, p in combo.items() if not p.is_zero()}
-        if not combo:
-            continue
-        if order[a] > order[b]:
-            a, b = b, a
-            combo = {g: -p for g, p in combo.items()}
-        if (a, b) in entries:
-            combo = _combo_add(entries[(a, b)], combo)
-        entries[(a, b)] = combo
-    return BracketTable(name=name, generators=tuple(generators),
-                        entries=entries, **meta)
+        """[x, y] as a linear combination of the table's generators."""
+        a, b = self.index(x), self.index(y)
+        return _combo(self, self.f[:, a, b], self.scale[a] * self.scale[b])
 
 
 _LEVI = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -311,88 +201,70 @@ GENERATORS = ("J1", "J2", "J3", "K1", "K2", "K3", "T1", "T2", "T3", "T0")
 def poincare_table() -> BracketTable:
     """Rotations J, boosts K, space translations T, time translation T0,
     with every 1/c^2 dependence kept symbolic."""
-    i0 = EpsPoly.of(QC_I, 0)       # i
-    i1 = EpsPoly.of(QC_I, 1)       # i/c^2
-    raw: dict[tuple[str, str], Combo] = {}
+    at = {g: i for i, g in enumerate(GENERATORS)}
+    f = np.zeros((2, 10, 10, 10, 2), np.int64)
+
+    def put(deg: int, a: str, b: str, c: str, im: int) -> None:
+        """[a, b] = i * im * eps**deg c, and [b, a] its negative."""
+        f[deg, at[a], at[b], at[c], 1] = im
+        f[deg, at[b], at[a], at[c], 1] = -im
 
     for (i, n, k), sign in _LEVI.items():
-        if i < n:   # one orientation is enough; _build flips the rest
-            s = EpsPoly.of(_qc(0, sign))
-            raw[(f"J{i}", f"J{n}")] = {f"J{k}": s}
-            raw[(f"J{i}", f"K{n}")] = {f"K{k}": s}
-            raw[(f"J{i}", f"T{n}")] = {f"T{k}": s}
-            raw[(f"K{i}", f"K{n}")] = {f"J{k}": (-s).times_eps(1)}
-    for (i, n, k), sign in _LEVI.items():
-        if i > n:   # J acts on vectors from either side
-            s = EpsPoly.of(_qc(0, sign))
-            raw[(f"J{i}", f"K{n}")] = {f"K{k}": s}
-            raw[(f"J{i}", f"T{n}")] = {f"T{k}": s}
-
+        put(0, f"J{i}", f"J{n}", f"J{k}", sign)
+        put(0, f"J{i}", f"K{n}", f"K{k}", sign)
+        put(0, f"J{i}", f"T{n}", f"T{k}", sign)
+        put(1, f"K{i}", f"K{n}", f"J{k}", -sign)
     for n in (1, 2, 3):
-        raw[("T0", f"K{n}")] = {f"T{n}": i0}
-        raw[(f"T{n}", f"K{n}")] = {"T0": i1}
-
-    return _build("poincare", GENERATORS, raw)
+        put(0, "T0", f"K{n}", f"T{n}", 1)
+        put(1, f"T{n}", f"K{n}", "T0", 1)
+    return BracketTable("poincare", GENERATORS, f)
 
 
 def galilean_table() -> BracketTable:
-    """The same algebra with every 1/c^2-suppressed term deleted up
-    front: boosts commute with each other and with space translations."""
+    """The same algebra with every 1/c^2-suppressed term deleted up front
+    (its degree-0 slice): boosts commute with each other and with space
+    translations."""
     base = poincare_table()
-    raw = {}
-    for pair, combo in base.entries.items():
-        kept = {g: p.constant_part() for g, p in combo.items()}
-        raw[pair] = {g: p for g, p in kept.items() if not p.is_zero()}
-    return _build("galilean", base.generators, raw)
+    return BracketTable("galilean", base.generators, base.f[:1])
 
 
 def with_flipped_sign(table: BracketTable, x: str, y: str) -> BracketTable:
     """Copy of the table with one bracket negated; breaks Jacobi, which
     makes it a negative control for the residual check."""
-    ix, iy = table.index(x), table.index(y)
-    if ix > iy:
-        x, y = y, x
-    if (x, y) not in table.entries:
+    a, b = table.index(x), table.index(y)
+    if not table.f[:, a, b].any():
+        x, y = (y, x) if a > b else (x, y)
         raise UnknownGenerator(f"no stored bracket for ({x}, {y})")
-    entries = dict(table.entries)
-    entries[(x, y)] = {g: -p for g, p in entries[(x, y)].items()}
-    return BracketTable(name=f"{table.name}-flipped", generators=table.generators,
-                        entries=entries, hbar=table.hbar, mass=table.mass)
+    f = table.f.copy()
+    f[:, [a, b], [b, a]] *= -1
+    return BracketTable(f"{table.name}-flipped", table.generators, f, table.scale)
 
 
 # -------------------------------------------------------------- contraction
 
 def contract(table: BracketTable, hbar: Scalar, m: Scalar) -> BracketTable:
-    """Nonrelativistic limit: rescale T0 into M = lim eps*hbar*T0, then
-    send eps to 0.  M comes out central and the suppressed brackets
-    vanish; the central element I rides along as an explicit generator
-    so later products stay inside the algebra.
-    """
+    """Nonrelativistic limit: rescale T0 into M = hbar*eps*T0, which moves
+    the coefficient of e_c in [e_a, e_b] by eps**(p_a + p_b - p_c) with
+    p = 1 on T0 only, and keep the degree-0 slice (a negative degree
+    diverges).  M comes out central; the central element I rides along as
+    an explicit generator so later products stay inside the algebra."""
     hb = _positive_fraction(hbar, "hbar")
-    mass = _positive_fraction(m, "m")
-    if "T0" not in table.generators:
-        raise UnknownGenerator("T0")
-    inv_hb = EpsPoly.of(_qc(Fraction(1, 1) / hb)).times_eps(-1)
+    _positive_fraction(m, "m")
+    n = len(table.generators)
+    p = (np.arange(n) == table.index("T0")).astype(np.int64)
+    shift = p[:, None, None] + p[None, :, None] - p[None, None, :]
+    degree = np.arange(len(table.f))[:, None, None, None] + shift
+    diverging = np.argwhere(table.f.any(axis=-1) & (degree < 0))
+    if len(diverging):
+        a, b, c = (table.generators[i] for i in diverging[0][1:])
+        raise ValueError(f"[{a},{b}] diverges as eps -> 0 through its {c} term")
 
+    f = np.zeros((1, n + 1, n + 1, n + 1, 2), np.int64)
+    f[0, :n, :n, :n] = np.where((degree == 0)[..., None], table.f, 0).sum(axis=0)
     generators = tuple("M" if g == "T0" else g for g in table.generators) + ("I",)
-    raw: dict[tuple[str, str], Combo] = {}
-    for (a, b), combo in table.entries.items():
-        scaled: Combo = {}
-        for g, poly in combo.items():
-            if g == "T0":
-                scaled["M"] = poly * inv_hb          # T0 = M / (eps hbar)
-            else:
-                scaled[g] = poly
-        for inp in (a, b):
-            if inp == "T0":                          # [M, .] = eps hbar [T0, .]
-                scaled = {g: p.times_eps(1).scale(_qc(hb)) for g, p in scaled.items()}
-        limited = {}
-        for g, poly in scaled.items():
-            c = poly.limit()
-            if c:
-                limited[g] = EpsPoly.of(c)
-        raw[("M" if a == "T0" else a, "M" if b == "T0" else b)] = limited
-    return _build("contracted", generators, raw, hbar=hb, mass=mass)
+    scale = tuple(s * hb if g == "T0" else s
+                  for g, s in zip(table.generators, table.scale)) + (Fraction(1),)
+    return BracketTable("contracted", generators, f, scale)
 
 
 # -------------------------------------------------------------------- checks
@@ -403,32 +275,40 @@ class JacobiResult:
     worst_triple: tuple[str, str, str] | None = None
     worst_combo: Combo = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.residual == 0.0
-
-
-def _bracket_with_combo(table: BracketTable, x: str, combo: Combo) -> Combo:
-    out: Combo = {}
-    for g, poly in combo.items():
-        out = _combo_add(out, _combo_scale(table.bracket(x, g), poly))
-    return out
-
 
 def jacobi_residual(table: BracketTable) -> JacobiResult:
     """Largest coefficient magnitude of [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
     over all generator triples, computed exactly; 0 means Lie algebra.
-    """
-    worst, worst_triple, worst_combo = 0.0, None, {}
-    for x, y, z in itertools.combinations(table.generators, 3):
-        total = _bracket_with_combo(table, x, table.bracket(y, z))
-        total = _combo_add(total, _bracket_with_combo(table, y, table.bracket(z, x)))
-        total = _combo_add(total, _bracket_with_combo(table, z, table.bracket(x, y)))
-        mag = max((p.max_magnitude() for p in total.values()), default=0.0)
-        if mag > worst:
-            worst, worst_triple, worst_combo = mag, (x, y, z), total
-    return JacobiResult(residual=worst, worst_triple=worst_triple,
-                        worst_combo=worst_combo)
+    One batched product gives sum_b f[y,z,b] f[x,b,a] = [x,[y,z]]; its
+    three cyclic rotations are gathered per ordered triple and summed over
+    degree pairs."""
+    f, n, nd = table.f, len(table.generators), len(table.f)
+    # each f[d2, x, b, a] as the 2x2 integer block that multiplies (re, im)
+    re, im = f[..., 0], f[..., 1]
+    block = np.stack([np.stack([re, -im], -1), np.stack([im, re], -1)], -2)
+    left = f.reshape(nd * n * n, 2 * n)                            # (d1 y z) x (b l)
+    right = block.transpose(2, 5, 0, 1, 3, 4).reshape(2 * n, -1)   # (b l) x (d2 x a k)
+    rows, cols = np.flatnonzero(left.any(axis=1)), np.flatnonzero(right.any(axis=0))
+    nested = np.zeros((len(left), right.shape[1]), np.int64)       # f is sparse
+    nested[np.ix_(rows, cols)] = left[rows] @ right[:, cols]
+    nested = nested.reshape(nd, n, n, nd, n, n, 2)      # [x,[y,z]] at [d1, y, z, d2, x]
+
+    triples = list(itertools.combinations(range(n), 3))
+    x, y, z = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    jac = np.zeros((2 * nd - 1, len(triples), n, 2), np.int64)
+    for d1, d2 in itertools.product(range(nd), repeat=2):
+        jac[d1 + d2] += (nested[d1, y, z, d2, x] + nested[d1, z, x, d2, y]
+                         + nested[d1, x, y, d2, z])
+
+    s, worst = table.scale, JacobiResult(residual=0.0)
+    for t in np.flatnonzero(jac.any(axis=(0, 2, 3))).tolist():
+        x, y, z = triples[t]
+        combo = _combo(table, jac[:, t], s[x] * s[y] * s[z])
+        mag = max(abs(c) for p in combo.values() for _, c in p.terms)
+        if mag > worst.residual:
+            names = (table.generators[x], table.generators[y], table.generators[z])
+            worst = JacobiResult(mag, names, combo)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -455,41 +335,26 @@ def ccr_check(table: BracketTable, hbar: Scalar = 1, m: Scalar = 1) -> CCRResult
     mass = _positive_fraction(m, "m")
 
     if "M" in table.generators:
-        for g in table.generators:
-            if g != "M" and table.bracket("M", g):
-                raise MNotCentral(f"[M, {g}] = {format_combo(table.bracket('M', g))}")
+        moving = np.flatnonzero(table.f[:, table.index("M")].any(axis=(0, 2, 3)))
+        if len(moving):
+            g = table.generators[moving[0]]
+            raise MNotCentral(f"[M, {g}] = {format_combo(table.bracket('M', g))}")
 
-    def substitute_mass(combo: Combo) -> Combo:
-        out = dict(combo)
-        if "M" in out:
-            extra = out.pop("M").scale(_qc(mass))
-            out = _combo_add(out, {"I": extra})
-        return out
+    def block(x: str, y: str, k: Fraction) -> dict[tuple[int, int], Combo]:
+        """[k x_i, y_n] for i, n in 1..3, with M read as m I."""
+        at = {(i, n): (table.index(f"{x}{i}"), table.index(f"{y}{n}"))
+              for i in (1, 2, 3) for n in (1, 2, 3)}
+        s = table.scale
+        return {key: _combo(table, table.f[:, a, b], k * s[a] * s[b], mass=mass)
+                for key, (a, b) in at.items()}
 
-    pq_scale = EpsPoly.of(_qc(-hb * hb / mass))
-    pp_scale = EpsPoly.of(_qc(hb * hb))
-    qq_scale = EpsPoly.of(_qc(hb * hb / (mass * mass)))
+    pq = block("T", "K", -hb * hb / mass)
+    pp = block("T", "T", hb * hb)
+    qq = block("K", "K", hb * hb / (mass * mass))
 
-    pq, pp, qq = {}, {}, {}
-    for i in (1, 2, 3):
-        for n in (1, 2, 3):
-            pq[(i, n)] = substitute_mass(
-                _combo_scale(table.bracket(f"T{i}", f"K{n}"), pq_scale))
-            pp[(i, n)] = substitute_mass(
-                _combo_scale(table.bracket(f"T{i}", f"T{n}"), pp_scale))
-            qq[(i, n)] = substitute_mass(
-                _combo_scale(table.bracket(f"K{i}", f"K{n}"), qq_scale))
-
-    target = EpsPoly.of(_qc(0, -hb))
-    def is_ccr() -> bool:
-        for i in (1, 2, 3):
-            for n in (1, 2, 3):
-                want = {"I": target} if i == n else {}
-                if pq[(i, n)] != want or pp[(i, n)] or qq[(i, n)]:
-                    return False
-        return True
-
-    if is_ccr():
+    target = {"I": EpsPoly.of(RationalComplex(Fraction(0), -hb))}
+    if (pq == {(i, n): target if i == n else {} for i, n in pq}
+            and not any(pp.values()) and not any(qq.values())):
         verdict = "CCR RECOVERED"
     elif all(not pq[k] and not pp[k] and not qq[k] for k in pq):
         verdict = "NO CCR"
@@ -519,12 +384,8 @@ def weak_boost_transform(t: float, x: float, v: float,
 def format_table(table: BracketTable, c: Scalar | None = None) -> str:
     """Human-readable nonzero brackets; pass c to evaluate eps = 1/c^2."""
     lines = [f"# {table.name} ({len(table.generators)} generators)"]
-    eps = None if c is None else Fraction(1, 1) / (_positive_fraction(c, "c") ** 2)
-    for (a, b) in sorted(table.entries, key=lambda p: (table.index(p[0]),
-                                                       table.index(p[1]))):
-        combo = table.entries[(a, b)]
-        if eps is not None:
-            combo = {g: EpsPoly.of(p.at(eps)) for g, p in combo.items()}
-            combo = {g: p for g, p in combo.items() if not p.is_zero()}
-        lines.append(f"[{a},{b}] = {format_combo(combo)}")
+    eps = None if c is None else 1 / _positive_fraction(c, "c") ** 2
+    for a, b in np.argwhere(np.triu(table.f.any(axis=(0, 3, 4)))).tolist():
+        combo = _combo(table, table.f[:, a, b], table.scale[a] * table.scale[b], eps)
+        lines.append(f"[{table.generators[a]},{table.generators[b]}] = {format_combo(combo)}")
     return "\n".join(lines)

@@ -101,12 +101,29 @@ class GroupSpec:
 @dataclass(frozen=True)
 class Irrep:
     """A matrix-valued map on group elements, expected to be a unitary
-    irreducible representation (checked by :func:`verify_irrep`)."""
+    irreducible representation (checked by :func:`verify_irrep`).
+
+    The matrices are stacked once, in the group's element order, when the
+    irrep is made, and `D` then maps each element to its read-only row of
+    that stack; a matrix that is not n x n raises DimensionMismatch.
+    """
 
     group: GroupSpec
     n: int
     D: Mapping[str, np.ndarray]
     name: str = "irrep"
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mats = [np.asarray(self.matrix(g)) for g in self.group.elements]
+        for g, m in zip(self.group.elements, mats):
+            if m.shape != (self.n, self.n):
+                raise DimensionMismatch(
+                    f"matrix for {g!r} has shape {m.shape}, expected {(self.n, self.n)}")
+        stack = np.array(mats)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "D", dict(zip(self.group.elements, stack)))
 
     def matrix(self, g: str) -> np.ndarray:
         try:
@@ -119,13 +136,9 @@ class Irrep:
         return self.matrix(self.group.inv(g))
 
     def stacked(self) -> np.ndarray:
-        """All matrices as one (N, n, n) array, in the group's element order."""
-        mats = [np.asarray(self.matrix(g)) for g in self.group.elements]
-        for g, m in zip(self.group.elements, mats):
-            if m.shape != (self.n, self.n):
-                raise DimensionMismatch(
-                    f"matrix for {g!r} has shape {m.shape}, expected {(self.n, self.n)}")
-        return np.array(mats)
+        """All matrices as one read-only (N, n, n) array, in the group's
+        element order."""
+        return self._stack
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,10 @@ def _irrep_entries(doc: dict) -> dict:
     return _checked(doc.get("irreps", {}), dict, "group document field 'irreps'")
 
 
+# rows of `a` per associativity block: 16 * N^2 index pairs at a time
+_ASSOCIATIVITY_BLOCK = 16
+
+
 def load_group(document) -> GroupSpec:
     """Parse and validate a group document (dict or JSON text).
 
@@ -258,12 +275,15 @@ def load_group(document) -> GroupSpec:
             + ("no two-sided inverse" if not invs else f"multiple inverses {invs}"))
     inverse = inverts.argmax(axis=1)
 
-    # associativity, exhaustively: table[table][a, b, c] = (ab)c and
-    # table[:, table][a, b, c] = a(bc)  (desk scale: N <= a few dozen)
-    triples = np.argwhere(table[table] != table[:, table])
-    if len(triples):
-        a, b, c = (elements[i] for i in triples[0])
-        raise NonAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    # associativity, exhaustively, over row blocks of a in C order so that
+    # memory stays O(block * N^2): table[rows][a, b, c] = (ab)c and
+    # rows[:, table][a, b, c] = a(bc)
+    for start in range(0, len(elements), _ASSOCIATIVITY_BLOCK):
+        rows = table[start:start + _ASSOCIATIVITY_BLOCK]
+        triples = np.argwhere(table[rows] != rows[:, table])
+        if len(triples):
+            a, b, c = (elements[i] for i in triples[0] + (start, 0, 0))
+            raise NonAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
 
     table.setflags(write=False)
     inverse.setflags(write=False)
@@ -338,8 +358,8 @@ def verify_irrep(irrep: Irrep, tol: float | None = None) -> ValidationReport:
     """Check unitarity, the homomorphism property, irreducibility, the
     orthogonality relation and the resolution identity.
 
-    Raises DimensionMismatch if any matrix is not n x n; numerical
-    failures, NaN included, are collected in the report rather than raised.
+    Numerical failures, NaN included, are collected in the report rather
+    than raised; matrix shapes were checked when the irrep was made.
     """
     tol = resolve(tol)
     group, n = irrep.group, irrep.n

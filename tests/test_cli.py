@@ -458,11 +458,219 @@ def test_contract_rational_scales(capsys):
     ("contract", "--m", "-1"),
     ("contract", "--hbar", "pi"),
     ("contract", "--c", "0"),
+    ("contract", "--c", "1/0"),
+    ("contract", "--c", "inf"),
 ])
 def test_contract_rejects_bad_scales(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert "error" in err
+    assert out == ""            # validated before any table is printed
+
+# Reference stdout of `rbw contract`, captured once from the release before
+# the structure-constant engine, so the array engine is pinned to it.
+CONTRACT_DEFAULT_STDOUT = """\
+# poincare (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,K2] = -i/c^2 J3
+[K1,K3] = i/c^2 J2
+[K1,T1] = -i/c^2 T0
+[K1,T0] = -i T1
+[K2,K3] = -i/c^2 J1
+[K2,T2] = -i/c^2 T0
+[K2,T0] = -i T2
+[K3,T3] = -i/c^2 T0
+[K3,T0] = -i T3
+
+# contracted (11 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,T1] = -i M
+[K2,T2] = -i M
+[K3,T3] = -i M
+
+# galilean (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,T0] = -i T1
+[K2,T0] = -i T2
+[K3,T0] = -i T3
+
+jacobi residual (relativistic): 0
+jacobi residual (contracted): 0
+jacobi residual (absolute-time): 0
+
+absolute-time [P1,Q1] = 0 : NO CCR
+[P1,Q2] = 0
+[P1,Q1] = -i I
+[P_i,Q_n] = -i δ_in I : CCR RECOVERED
+"""
+
+CONTRACT_SI_STDOUT = """\
+# poincare (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,K2] = -i/c^2 J3
+[K1,K3] = i/c^2 J2
+[K1,T1] = -i/c^2 T0
+[K1,T0] = -i T1
+[K2,K3] = -i/c^2 J1
+[K2,T2] = -i/c^2 T0
+[K2,T0] = -i T2
+[K3,T3] = -i/c^2 T0
+[K3,T0] = -i T3
+
+# poincare (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,K2] = (-1/89875517873681764)i J3
+[K1,K3] = (1/89875517873681764)i J2
+[K1,T1] = (-1/89875517873681764)i T0
+[K1,T0] = -i T1
+[K2,K3] = (-1/89875517873681764)i J1
+[K2,T2] = (-1/89875517873681764)i T0
+[K2,T0] = -i T2
+[K3,T3] = (-1/89875517873681764)i T0
+[K3,T0] = -i T3
+
+# contracted (11 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,T1] = (-50000000000000000000000000000000000000000/5272859)i M
+[K2,T2] = (-50000000000000000000000000000000000000000/5272859)i M
+[K3,T3] = (-50000000000000000000000000000000000000000/5272859)i M
+
+# galilean (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,T0] = -i T1
+[K2,T0] = -i T2
+[K3,T0] = -i T3
+
+jacobi residual (relativistic): 0
+jacobi residual (contracted): 0
+jacobi residual (absolute-time): 0
+
+absolute-time [P1,Q1] = 0 : NO CCR
+[P1,Q2] = 0
+[P1,Q1] = (-5272859/50000000000000000000000000000000000000000)i I
+[P_i,Q_n] = (-5272859/50000000000000000000000000000000000000000)i δ_in I : CCR RECOVERED
+"""
+
+
+def test_contract_default_matches_reference(capsys):
+    code, out, _ = run(capsys, "contract")
+    assert (code, out) == (0, CONTRACT_DEFAULT_STDOUT)
+
+
+def test_contract_si_units_match_reference(capsys):
+    # hbar and m in SI units: exact fractions with 41- and 35-digit denominators
+    code, out, _ = run(capsys, "contract", "--hbar", "1.0545718e-34",
+                       "--m", "9.109e-31", "--c", "299792458")
+    assert (code, out) == (0, CONTRACT_SI_STDOUT)
+
+
+def test_contract_tiny_hbar_matches_reference(capsys):
+    # hbar = 10^-400 is far below any float; the answer stays exact
+    ten_400 = "1" + "0" * 400
+    want = (CONTRACT_DEFAULT_STDOUT
+            .replace("= -i M\n", f"= -{ten_400}i M\n")
+            .replace("[P1,Q1] = -i I\n", f"[P1,Q1] = (-1/{ten_400})i I\n")
+            .replace("[P_i,Q_n] = -i δ_in I", f"[P_i,Q_n] = (-1/{ten_400})i δ_in I"))
+    code, out, _ = run(capsys, "contract", "--hbar", "1e-400")
+    assert (code, out) == (0, want)
 
 
 # --------------------------------------------------------------- selftest

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from rbw.contraction import (
+    BracketTable,
     EpsPoly,
     RationalComplex,
-    _bracket_with_combo,
-    bracket,
     ccr_check,
     contract,
     format_combo,
@@ -25,11 +24,11 @@ from rbw.contraction import (
 from rbw.errors import MNotCentral, UnknownGenerator
 
 I = RationalComplex(Fraction(0), Fraction(1))
-MINUS_I = -I
+MINUS_I = RationalComplex(Fraction(0), Fraction(-1))
 
 
-def ipoly(degree=0):
-    return EpsPoly.of(I, degree)
+def ipoly(degree=0, sign=1):
+    return EpsPoly.of(I if sign > 0 else MINUS_I, degree)
 
 
 # ------------------------------------------------------------ scalar pieces
@@ -42,86 +41,132 @@ def test_rational_complex_strings():
     assert str(RationalComplex(Fraction(0), Fraction(-3))) == "-3i"
 
 
-def test_eps_poly_arithmetic():
-    a = EpsPoly.const(1) + EpsPoly.of(I, 1)
-    b = EpsPoly.of(RationalComplex(Fraction(2)), 1)
-    assert (a * b).terms == ((1, RationalComplex(Fraction(2))),
-                             (2, RationalComplex(Fraction(0), Fraction(2))))
-    assert (a - a).is_zero()
-    assert a.at(Fraction(1, 4)) == RationalComplex(Fraction(1), Fraction(1, 4))
-    assert a.limit() == RationalComplex(Fraction(1))
+# -------------------------------------------------------------- user tables
+
+def user_table(entries, generators=("X", "Y", "Z", "T0"), degrees=1):
+    """Table over `generators` from {(a, b, c, deg): (re, im)}: [a, b] holds
+    (re + i im) eps**deg c, and [b, a] its negative."""
+    n = len(generators)
+    f = np.zeros((degrees, n, n, n, 2), dtype=np.int64)
+    for (a, b, c, deg), value in entries.items():
+        a, b, c = (generators.index(g) for g in (a, b, c))
+        f[deg, a, b, c] = value
+        f[deg, b, a, c] = [-v for v in value]
+    return BracketTable("user", generators, f)
 
 
-def test_eps_poly_limit_guards_divergence():
+def test_user_table_round_trips_mixed_degrees():
+    # [X,Y] = (1 + i eps) Z, as the one coefficient with two eps powers
+    table = user_table({("X", "Y", "Z", 0): (1, 0), ("X", "Y", "Z", 1): (0, 1)},
+                       degrees=2)
+    assert table.bracket("X", "Y") == {"Z": EpsPoly(
+        ((0, RationalComplex(Fraction(1))), (1, I)))}
+    assert table.bracket("Y", "X") == {"Z": EpsPoly(
+        ((0, RationalComplex(Fraction(-1))), (1, MINUS_I)))}
+    assert "[X,Y] = (1 + i/c^2) Z" in format_table(table)
+    # evaluated at c = 2: 1 + i/4, summed over both degrees
+    assert "[X,Y] = (1+(1/4)i) Z" in format_table(table, c=2)
+
+
+def test_contract_guards_divergence():
+    # a degree-0 bracket landing on T0 would need 1/eps once T0 = M/(eps hbar)
+    table = user_table({("X", "Y", "T0", 0): (0, 1)})
+    with pytest.raises(ValueError, match="diverges"):
+        contract(table, 1, 1)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "pi", 0, -1])
+def test_scales_must_be_positive_rationals(bad):
+    table = poincare_table()
+    for call in (lambda: contract(table, bad, 1), lambda: contract(table, 1, bad),
+                 lambda: ccr_check(table, bad, 1), lambda: format_table(table, c=bad)):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("entry", [2 ** 64 + 1, -(2 ** 70), 2 ** 40, 0.5, 1.0])
+def test_entries_that_do_not_fit_exactly_raise(entry):
+    f = [[[[[0, 0] for _ in range(3)] for _ in range(3)] for _ in range(3)]]
+    f[0][0][1][2], f[0][1][0][2] = [entry, 0], [-entry, 0]
     with pytest.raises(ValueError):
-        EpsPoly.of(I, -1).limit()
+        BracketTable("big", ("X", "Y", "Z"), f)
+
+
+def test_entry_at_int64_min_is_rejected():
+    # -(-2**63) wraps to -2**63 in int64, so this array passes as antisymmetric
+    f = np.zeros((1, 3, 3, 3, 2), dtype=np.int64)
+    f[0, 0, 1, 2, 0] = f[0, 1, 0, 2, 0] = np.iinfo(np.int64).min
+    with pytest.raises(ValueError, match="exceed"):
+        BracketTable("wrapped", ("X", "Y", "Z"), f)
+
+
+def test_table_is_checked_and_read_only():
+    f = np.zeros((1, 3, 3, 3, 2), dtype=np.int64)
+    f[0, 0, 1, 2, 1] = 1
+    with pytest.raises(ValueError, match="antisymmetric"):
+        BracketTable("lopsided", ("X", "Y", "Z"), f)
+    with pytest.raises(ValueError, match="repeat"):
+        BracketTable("twins", ("X", "X", "Z"), np.zeros_like(f))
+    table = poincare_table()
+    assert not table.f.flags.writeable
+    with pytest.raises(ValueError):
+        table.f[0, 0, 1, 2, 1] = 5
 
 
 # ---------------------------------------------------------- reference table
 
 def test_rotation_brackets():
     table = poincare_table()
-    assert bracket("J1", "J2", table) == {"J3": ipoly()}
-    assert bracket("J2", "J3", table) == {"J1": ipoly()}
-    assert bracket("J2", "J1", table) == {"J3": -ipoly()}
-    assert bracket("J1", "K2", table) == {"K3": ipoly()}
-    assert bracket("J2", "K1", table) == {"K3": -ipoly()}
-    assert bracket("J3", "T1", table) == {"T2": ipoly()}
+    assert table.bracket("J1", "J2") == {"J3": ipoly()}
+    assert table.bracket("J2", "J3") == {"J1": ipoly()}
+    assert table.bracket("J2", "J1") == {"J3": ipoly(sign=-1)}
+    assert table.bracket("J1", "K2") == {"K3": ipoly()}
+    assert table.bracket("J2", "K1") == {"K3": ipoly(sign=-1)}
+    assert table.bracket("J3", "T1") == {"T2": ipoly()}
 
 
 def test_boost_boost_bracket_suppressed():
     table = poincare_table()
-    assert bracket("K1", "K2", table) == {"J3": -ipoly(1)}
-    assert bracket("K3", "K1", table) == {"J2": -ipoly(1)}
+    assert table.bracket("K1", "K2") == {"J3": ipoly(1, sign=-1)}
+    assert table.bracket("K3", "K1") == {"J2": ipoly(1, sign=-1)}
 
 
 def test_time_translation_brackets():
     table = poincare_table()
     for n in (1, 2, 3):
-        assert bracket("T0", f"K{n}", table) == {f"T{n}": ipoly()}
-        assert bracket("T0", f"T{n}", table) == {}
-        assert bracket("T0", f"J{n}", table) == {}
+        assert table.bracket("T0", f"K{n}") == {f"T{n}": ipoly()}
+        assert table.bracket("T0", f"T{n}") == {}
+        assert table.bracket("T0", f"J{n}") == {}
 
 
 def test_translation_boost_bracket():
     # the sign the Jacobi identity and the final commutator both force
     table = poincare_table()
-    assert bracket("T1", "K1", table) == {"T0": ipoly(1)}
-    assert bracket("T2", "K2", table) == {"T0": ipoly(1)}
-    assert bracket("T1", "K2", table) == {}
-    assert bracket("T1", "T2", table) == {}
-    assert bracket("K1", "T1", table) == {"T0": -ipoly(1)}
+    assert table.bracket("T1", "K1") == {"T0": ipoly(1)}
+    assert table.bracket("T2", "K2") == {"T0": ipoly(1)}
+    assert table.bracket("T1", "K2") == {}
+    assert table.bracket("T1", "T2") == {}
+    assert table.bracket("K1", "T1") == {"T0": ipoly(1, sign=-1)}
 
 
 def test_self_bracket_and_unknowns():
     table = poincare_table()
-    assert bracket("K2", "K2", table) == {}
+    assert table.bracket("K2", "K2") == {}
     with pytest.raises(UnknownGenerator):
-        bracket("X1", "J1", table)
+        table.bracket("X1", "J1")
     with pytest.raises(UnknownGenerator):
-        bracket("J1", "M", table)
+        table.bracket("J1", "M")
 
 
 def test_antisymmetry_everywhere():
     table = poincare_table()
     for x, y in itertools.combinations(table.generators, 2):
-        fwd = bracket(x, y, table)
-        bwd = bracket(y, x, table)
+        fwd = table.bracket(x, y)
+        bwd = table.bracket(y, x)
         assert set(fwd) == set(bwd)
+        minus_one = RationalComplex(Fraction(-1))
         for g in fwd:
-            assert fwd[g] == -bwd[g]
-
-
-def test_bilinearity_of_expansion():
-    table = poincare_table()
-    combo = {"K2": EpsPoly.const(Fraction(2, 3)), "T0": EpsPoly.of(I, 1)}
-    expanded = _bracket_with_combo(table, "T1", combo)
-    manual = {}
-    for g, coeff in combo.items():
-        for h, p in bracket("T1", g, table).items():
-            manual[h] = manual.get(h, EpsPoly()) + coeff * p
-    manual = {h: p for h, p in manual.items() if not p.is_zero()}
-    assert expanded == manual
+            assert fwd[g].terms == tuple((d, c * minus_one) for d, c in bwd[g].terms)
 
 
 # ------------------------------------------------------------------- Jacobi
@@ -149,6 +194,93 @@ def test_flipped_sign_detected():
     assert result.worst_combo
 
 
+# Residual and worst triple of every one-bracket sign flip, captured once
+# from the dict-based engine this array engine replaced.
+FLIPPED_POINCARE = {
+    ("J1", "J2"): (2.0, ('J1', 'J2', 'K1')),
+    ("J1", "J3"): (2.0, ('J1', 'J3', 'K1')),
+    ("J1", "K2"): (2.0, ('J1', 'J2', 'K2')),
+    ("J1", "K3"): (2.0, ('J1', 'J2', 'K1')),
+    ("J1", "T2"): (2.0, ('J1', 'J2', 'T2')),
+    ("J1", "T3"): (2.0, ('J1', 'J2', 'T1')),
+    ("J2", "J3"): (2.0, ('J2', 'J3', 'K2')),
+    ("J2", "K1"): (2.0, ('J1', 'J2', 'K1')),
+    ("J2", "K3"): (2.0, ('J1', 'J2', 'K2')),
+    ("J2", "T1"): (2.0, ('J1', 'J2', 'T1')),
+    ("J2", "T3"): (2.0, ('J1', 'J2', 'T2')),
+    ("J3", "K1"): (2.0, ('J1', 'J2', 'K1')),
+    ("J3", "K2"): (2.0, ('J1', 'J2', 'K2')),
+    ("J3", "T1"): (2.0, ('J1', 'J2', 'T1')),
+    ("J3", "T2"): (2.0, ('J1', 'J2', 'T2')),
+    ("K1", "K2"): (2.0, ('J1', 'K1', 'K2')),
+    ("K1", "K3"): (2.0, ('J1', 'K1', 'K2')),
+    ("K1", "T1"): (2.0, ('J2', 'K1', 'T3')),
+    ("K1", "T0"): (2.0, ('J2', 'K1', 'T0')),
+    ("K2", "K3"): (2.0, ('J2', 'K1', 'K2')),
+    ("K2", "T2"): (2.0, ('J1', 'K2', 'T3')),
+    ("K2", "T0"): (2.0, ('J1', 'K2', 'T0')),
+    ("K3", "T3"): (2.0, ('J1', 'K2', 'T3')),
+    ("K3", "T0"): (2.0, ('J1', 'K2', 'T0')),
+}
+FLIPPED_CONTRACTED = {      # contract(poincare_table(), 3/2, 2): M = (3/2) eps T0
+    ("J1", "J2"): (2.0, ('J1', 'J2', 'K1')),
+    ("J1", "J3"): (2.0, ('J1', 'J3', 'K1')),
+    ("J1", "K2"): (2.0, ('J1', 'J2', 'K2')),
+    ("J1", "K3"): (2.0, ('J1', 'J2', 'K1')),
+    ("J1", "T2"): (2.0, ('J1', 'J2', 'T2')),
+    ("J1", "T3"): (2.0, ('J1', 'J2', 'T1')),
+    ("J2", "J3"): (2.0, ('J2', 'J3', 'K2')),
+    ("J2", "K1"): (2.0, ('J1', 'J2', 'K1')),
+    ("J2", "K3"): (2.0, ('J1', 'J2', 'K2')),
+    ("J2", "T1"): (2.0, ('J1', 'J2', 'T1')),
+    ("J2", "T3"): (2.0, ('J1', 'J2', 'T2')),
+    ("J3", "K1"): (2.0, ('J1', 'J2', 'K1')),
+    ("J3", "K2"): (2.0, ('J1', 'J2', 'K2')),
+    ("J3", "T1"): (2.0, ('J1', 'J2', 'T1')),
+    ("J3", "T2"): (2.0, ('J1', 'J2', 'T2')),
+    ("K1", "T1"): (1.3333333333333333, ('J2', 'K1', 'T3')),
+    ("K2", "T2"): (1.3333333333333333, ('J1', 'K2', 'T3')),
+    ("K3", "T3"): (1.3333333333333333, ('J1', 'K2', 'T3')),
+}
+
+
+@pytest.mark.parametrize("table, golden", [
+    (poincare_table(), FLIPPED_POINCARE),
+    (contract(poincare_table(), Fraction(3, 2), 2), FLIPPED_CONTRACTED),
+], ids=["poincare", "contracted"])
+def test_flipped_controls_match_reference(table, golden):
+    stored = [(x, y) for i, x in enumerate(table.generators)
+              for y in table.generators[i + 1:] if table.bracket(x, y)]
+    assert stored == list(golden)
+    for (x, y), (residual, triple) in golden.items():
+        result = jacobi_residual(with_flipped_sign(table, x, y))
+        assert (result.residual, result.worst_triple) == (residual, triple)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_jacobi_matches_a_float_oracle_on_random_tables(seed):
+    # small Gaussian integers over two eps powers, so the float sums are exact
+    rng = np.random.default_rng(seed)
+    n = 5
+    f = rng.integers(-3, 4, size=(2, n, n, n, 2)) * (rng.random((2, n, n, n, 1)) < 0.3)
+    f = f - f.swapaxes(1, 2)
+    generators = tuple("ABCDE")
+    result = jacobi_residual(BracketTable("random", generators, f))
+
+    z = f[..., 0] + 1j * f[..., 1]
+    jac = np.zeros((3, n, n, n, n), dtype=complex)       # [deg, x, y, z, a]
+    for d1, d2 in itertools.product(range(2), repeat=2):
+        nested = np.einsum("yzb,xba->xyza", z[d1], z[d2])       # [x,[y,z]]
+        jac[d1 + d2] += nested + nested.transpose(1, 2, 0, 3) + nested.transpose(2, 0, 1, 3)
+    mags = {t: max(math.hypot(v.real, v.imag) for v in jac[:, t[0], t[1], t[2]].ravel())
+            for t in itertools.combinations(range(n), 3)}
+    worst = max(mags.values())
+    assert result.residual == worst
+    if worst:
+        first = next(t for t, m in mags.items() if m == worst)
+        assert result.worst_triple == tuple(generators[i] for i in first)
+
+
 def test_jacobi_numeric_cross_check():
     # independent float evaluation at a finite speed: build numeric
     # structure constants and redo the check in complex arithmetic
@@ -160,9 +292,10 @@ def test_jacobi_numeric_cross_check():
     f = np.zeros((n, n, n), dtype=complex)
     for x in gens:
         for y in gens:
-            for g, poly in bracket(x, y, table).items():
-                qc = poly.at(eps)
-                f[idx[x], idx[y], idx[g]] = complex(float(qc.re), float(qc.im))
+            for g, poly in table.bracket(x, y).items():
+                f[idx[x], idx[y], idx[g]] = sum(
+                    complex(float(c.re), float(c.im)) * float(eps) ** d
+                    for d, c in poly.terms)
     jac = (np.einsum("yzb,xba->xyza", f, f)
            + np.einsum("zxb,yba->xyza", f, f)
            + np.einsum("xyb,zba->xyza", f, f))
@@ -175,26 +308,26 @@ def test_contracted_reference_brackets():
     con = contract(poincare_table(), 1, 1)
     assert "T0" not in con.generators
     assert "M" in con.generators and "I" in con.generators
-    assert bracket("K1", "K2", con) == {}
-    assert bracket("T1", "K1", con) == {"M": ipoly()}
-    assert bracket("J1", "J2", con) == {"J3": ipoly()}
-    assert bracket("J1", "K2", con) == {"K3": ipoly()}
+    assert con.bracket("K1", "K2") == {}
+    assert con.bracket("T1", "K1") == {"M": ipoly()}
+    assert con.bracket("J1", "J2") == {"J3": ipoly()}
+    assert con.bracket("J1", "K2") == {"K3": ipoly()}
     for g in con.generators:
-        assert bracket("M", g, con) == {}
+        assert con.bracket("M", g) == {}
 
 
 def test_contracted_hbar_scaling():
     con = contract(poincare_table(), 2, 1)
     half_i = EpsPoly.of(RationalComplex(Fraction(0), Fraction(1, 2)))
-    assert bracket("T1", "K1", con) == {"M": half_i}
+    assert con.bracket("T1", "K1") == {"M": half_i}
 
 
 def test_galilean_brackets():
     table = galilean_table()
-    assert bracket("T1", "K1", table) == {}
-    assert bracket("K1", "K2", table) == {}
-    assert bracket("J1", "K2", table) == {"K3": ipoly()}
-    assert bracket("T0", "K2", table) == {"T2": ipoly()}
+    assert table.bracket("T1", "K1") == {}
+    assert table.bracket("K1", "K2") == {}
+    assert table.bracket("J1", "K2") == {"K3": ipoly()}
+    assert table.bracket("T0", "K2") == {"T2": ipoly()}
 
 
 # ---------------------------------------------------------------------- CCR
@@ -229,29 +362,30 @@ def test_ccr_uncontracted_is_anomalous():
 
 
 def test_ccr_requires_central_mass():
-    from rbw.contraction import BracketTable
     con = contract(poincare_table(), 1, 1)
-    poisoned = dict(con.entries)
-    poisoned[("K1", "M")] = {"T1": ipoly()}
-    bad = BracketTable(name="bad", generators=con.generators, entries=poisoned)
-    with pytest.raises(MNotCentral):
+    k1, m, t1 = (con.index(g) for g in ("K1", "M", "T1"))
+    f = con.f.copy()
+    f[0, k1, m, t1, 1], f[0, m, k1, t1, 1] = 1, -1        # [K1, M] = i T1
+    bad = BracketTable("bad", con.generators, f, con.scale)
+    with pytest.raises(MNotCentral, match=r"\[M, K1\] = -i T1"):
         ccr_check(bad, 1, 1)
 
 
 def test_contraction_diagram_commutes():
     # defining P, Q before the limit and contracting afterwards must
     # match running ccr_check on the contracted table
-    hb, m = Fraction(1), Fraction(1)
+    hb, m = Fraction(3, 2), Fraction(2)
     table = poincare_table()
     route1 = ccr_check(contract(table, hb, m), hb, m).pq[(1, 1)]
 
-    pre = bracket("T1", "K1", table)                      # {T0: i eps}
-    scale = EpsPoly.of(RationalComplex(-hb * hb / m))
-    pre = {g: p * scale for g, p in pre.items()}
-    # T0 = M/(eps hbar), then eps -> 0 and M = m I
-    coeff = pre["T0"].times_eps(-1).scale(RationalComplex(Fraction(1) / hb))
-    route2 = {"I": EpsPoly.of(coeff.limit() * RationalComplex(m))}
-    assert route1 == route2
+    pre = table.bracket("T1", "K1")                       # {T0: i eps}
+    assert set(pre) == {"T0"}
+    (degree, coeff), = pre["T0"].terms
+    assert degree == 1          # the eps that T0 = M/(eps hbar) cancels
+    # [P1, Q1] = -(hbar^2/m) [T1, K1]; then T0 -> M/(eps hbar), M -> m I
+    coeff = coeff * RationalComplex(-hb * hb / m) * RationalComplex(1 / hb)
+    route2 = {"I": EpsPoly.of(coeff * RationalComplex(m))}
+    assert route1 == route2 == {"I": EpsPoly.of(RationalComplex(Fraction(0), -hb))}
 
 
 # -------------------------------------------------------(----- weak boosts

@@ -1,5 +1,7 @@
 """Tables, axioms, and unitary irrep checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,40 @@ def test_corrupted_dihedral_tables_fail_like_the_loop_oracle(m, seed):
         assert str(info.value) == expected[1]
 
 
+def test_associativity_offender_past_the_first_block():
+    # Z16 x K, where K = {e, u, v} has identity e, unique inverses
+    # u*v = v*u = e, and u*u = u, v*v = v, so (u*u)*v = e != u = u*(u*v).
+    # The 16 rows with an e component are associative, so the first
+    # offender lies in the second row block of the check.
+    kmul = {**{("e", k): k for k in "euv"}, **{(k, "e"): k for k in "euv"},
+            ("u", "v"): "e", ("v", "u"): "e", ("u", "u"): "u", ("v", "v"): "v"}
+    elements = [f"{k}{h}" for k in "euv" for h in range(16)]
+    doc = {"elements": elements,
+           "mul": {f"{k1}{h1},{k2}{h2}": f"{kmul[k1, k2]}{(h1 + h2) % 16}"
+                   for k1 in "euv" for h1 in range(16) for k2 in "euv" for h2 in range(16)}}
+    expected = loop_validate(doc)
+    assert expected == (NonAssociative, "(u0*u0)*v0 != u0*(u0*v0)")
+    with pytest.raises(NonAssociative) as info:
+        load_group(doc)
+    assert str(info.value) == expected[1]
+
+
+def test_load_group_memory_stays_bounded():
+    # the associativity check must not hold N^3 index arrays (~130 MB here)
+    n = 200
+    labels = [f"c{k}" for k in range(n)]
+    doc = {"elements": labels,
+           "mul": {f"c{i},c{j}": labels[(i + j) % n] for i in range(n) for j in range(n)}}
+    tracemalloc.start()
+    try:
+        group = load_group(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.N == n and group.identity == "c0"
+    assert peak < 20e6
+
+
 # ---------------------------------------------------------- first offenders
 
 def table_document(elements, product):
@@ -493,6 +529,33 @@ def test_multiple_inverses_listed_in_element_order():
     # c has the single inverse a; a is the first with two, listed as c, b
     assert str(info.value) == "element 'a' has multiple inverses ['c', 'b']"
     assert loop_validate(doc) == (MissingInverse, str(info.value))
+
+
+def test_irrep_stack_is_built_once_and_read_only():
+    irr = catalog.s3_irreps()["standard"]
+    assert irr.stacked() is irr.stacked()
+    assert irr.stacked().shape == (6, 2, 2)
+    with pytest.raises(ValueError):
+        irr.stacked()[0, 0, 0] = 1
+
+
+def test_irrep_is_a_snapshot_of_its_matrices():
+    # D rows are views of the stack, so later edits to the caller's arrays
+    # cannot make matrix() and stacked() disagree
+    sign = catalog.z2_irreps()["sign"]
+    mats = {g: np.array(sign.matrix(g)) for g in sign.group.elements}
+    irr = Irrep(group=sign.group, n=1, D=mats, name="copy")
+    mats["r"][0, 0] = 0.5
+    assert irr.matrix("r")[0, 0] == -1
+    assert all(np.shares_memory(irr.matrix(g), irr.stacked()) for g in irr.group.elements)
+    assert verify_irrep(irr).ok
+
+
+def test_irrep_shape_checked_when_made():
+    sign = catalog.z2_irreps()["sign"]
+    with pytest.raises(DimensionMismatch,
+                       match=r"matrix for 'r' has shape \(2, 2\), expected \(1, 1\)"):
+        Irrep(group=sign.group, n=1, D={"e": np.eye(1), "r": np.eye(2)})
 
 
 def test_group_table_is_read_only():
