@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -139,6 +138,12 @@ def reconstruct_density(expectations: ExpectationSet,
 
 # ----------------------------------------------------------------- spectral
 
+def _require_hermitian(rho: np.ndarray, tol: float) -> None:
+    herm_residual = float(np.abs(rho - rho.conj().T).max())
+    if not herm_residual <= tol:   # NaN fails too
+        raise NotHermitian(f"max |rho - rho^dag| = {herm_residual:.3e}")
+
+
 def eigendecompose(rho: np.ndarray,
                    tol: float | None = None) -> list[tuple[float, np.ndarray]]:
     """Weights and kets of a hermitian matrix, weights descending.
@@ -147,12 +152,8 @@ def eigendecompose(rho: np.ndarray,
     lexicographically by the real parts of their entries, so the output
     is deterministic.
     """
-    tol = resolve(tol)
     rho = np.asarray(rho, dtype=complex)
-    herm_residual = float(np.max(np.abs(rho - rho.conj().T)))
-    if not herm_residual <= tol:
-        raise NotHermitian(f"max |rho - rho^dag| = {herm_residual:.3e}")
-
+    _require_hermitian(rho, resolve(tol))
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
     kets = []
     for i in range(len(w)):
@@ -186,27 +187,26 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
         raise DimensionMismatch(
             f"state {rho.shape} vs operator {symmetry.shape}")
     n = rho.shape[0]
-    unit_residual = float(np.max(np.abs(symmetry @ symmetry.conj().T - np.eye(n))))
+    _require_hermitian(rho, tol)
+    unit_residual = float(np.abs(symmetry @ symmetry.conj().T - np.eye(n)).max())
     if not unit_residual <= tol:
         raise NotUnitary(f"max |U U^dag - I| = {unit_residual:.3e}")
 
-    # complex Schur form of a unitary is diagonal with orthonormal columns,
-    # which stays orthonormal across degenerate eigenvalues
-    t, z = scipy.linalg.schur(symmetry, output="complex")
+    # A unitary is normal: eig's columns span its orthogonal eigenspaces but
+    # can be skewed within a degenerate one, or between close eigenvalues of a
+    # U unitary only to tol.  V = QR then makes U Q = Q (R diag(lam) R^-1) a
+    # Schur form whose column j belongs to lam[j]; skew < 1e-13 shifts p < 1e-12.
+    lam, vecs = np.linalg.eig(symmetry)
+    if not np.abs(vecs.conj().T @ vecs - np.eye(n)).max() <= 1e-13:
+        vecs = np.linalg.qr(vecs)[0]
+    probs = (vecs.conj() * (rho @ vecs)).sum(axis=0).real.tolist()
+    phases = np.angle(lam)
+    phases[phases < -np.pi + 5e-13] += 2 * np.pi   # keep the +pi/-pi seam on one side
     merged: dict[float, tuple[complex, float]] = {}
-    for j in range(n):
-        lam = complex(t[j, j])
-        phase = float(np.angle(lam))
-        if phase < -np.pi + 5e-13:   # keep the +pi/-pi seam on one side
-            phase += 2 * np.pi
+    for lam_j, phase, p in zip(lam.tolist(), phases.tolist(), probs):
         key = round(phase, 12)
-        p = float(np.real(z[:, j].conj() @ rho @ z[:, j]))
-        if key in merged:
-            lam0, p0 = merged[key]
-            merged[key] = (lam0, p0 + p)
-        else:
-            merged[key] = (lam, p)
-
+        lam0, p0 = merged.get(key, (lam_j, 0.0))
+        merged[key] = (lam0, p0 + p)
     keys = sorted(merged)
     return OutcomeDistribution(
         eigenvalues=tuple(merged[k][0] for k in keys),

@@ -2,10 +2,15 @@
 codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rbw
 from rbw import catalog, cli, selftest, symmetry_state
 from rbw.grouprep import Irrep, group_document
 
@@ -34,6 +39,16 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
+
+
+def test_import_loads_no_scipy():
+    # every subcommand pays for what `import rbw.cli` imports
+    src = Path(rbw.__file__).resolve().parents[1]
+    code = ("import sys, rbw, rbw.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_unrecognized_flag(capsys):

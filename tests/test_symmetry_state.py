@@ -323,6 +323,82 @@ def test_crossed_distribution_matches_direct(seed):
         assert sum(matches) >= crossed - 1e-10
 
 
+def schur_outcomes(rho, u):
+    """Reference split: scipy's complex Schur form, whose columns are
+    orthonormal and, for a unitary, eigenvectors, grouped by phase to 12
+    decimals with the +pi/-pi seam on the +pi side."""
+    import scipy.linalg
+    t, z = scipy.linalg.schur(u, output="complex")
+    merged = {}
+    for j in range(len(u)):
+        lam = complex(t[j, j])
+        phase = float(np.angle(lam))
+        if phase < -np.pi + 5e-13:
+            phase += 2 * np.pi
+        lam0, p0 = merged.get(round(phase, 12), (lam, 0.0))
+        merged[round(phase, 12)] = (lam0, p0 + float(np.real(z[:, j].conj() @ rho @ z[:, j])))
+    return [merged[k] for k in sorted(merged)]
+
+
+def unitary_with_phases(phases, rng):
+    v = random_unitary(len(phases), rng)
+    return v @ np.diag(np.exp(1j * np.asarray(phases))) @ v.conj().T
+
+
+def repeated_phases(rng, n):
+    phases = rng.choice([0.0, np.pi, -np.pi, np.pi / 2], size=n)
+    phases[1] = phases[0]
+    return phases
+
+
+def seam_phases(rng, n):
+    return np.r_[[np.pi, -np.pi + 1e-14], rng.choice([0.0, np.pi / 2, -np.pi], size=n - 2)]
+
+
+def close_phases(rng, n):
+    # eig's columns for phases 1e-10 apart are orthogonal only to ~1e-6
+    return np.r_[[1.0, 1.0 + 1e-10], rng.uniform(-3.0, 0.0, size=n - 2)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("spectrum", [repeated_phases, seam_phases, close_phases])
+@pytest.mark.parametrize("noise", [0.0, 1e-11])
+def test_outcomes_match_schur_oracle(spectrum, noise, seed):
+    # noise 1e-11 leaves U unitary only to within the default tolerance, which
+    # splits a repeated eigenvalue into close ones with skewed eig columns
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 5
+    u = unitary_with_phases(spectrum(rng, n), rng)
+    u = u + noise * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+    rho = random_state(n, rng)
+    dist = outcome_probabilities(rho, u)
+    expected = schur_outcomes(rho, u)
+    assert len(dist.eigenvalues) == len(expected)
+    for (lam, p), (lam_ref, p_ref) in zip(dist.pairs(), expected):
+        assert abs(lam - lam_ref) <= 1e-12
+        assert abs(p - p_ref) <= 1e-12
+    assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_outcomes_stay_a_distribution_on_a_rounding_boundary(seed):
+    # the phase sits next to a 12-decimal rounding boundary, so eig's two
+    # phases for the one eigenvalue often round apart into two outcomes;
+    # those must still be halves of one orthonormal split
+    rng = np.random.default_rng(seed)
+    phase = 0.1234567890125
+    u = unitary_with_phases([phase, phase, 2.0], rng)
+    rho = random_state(3, rng)
+    dist = outcome_probabilities(rho, u)
+
+    def mass(pairs):
+        return sum(p for lam, p in pairs if abs(lam - np.exp(1j * phase)) < 1e-9)
+
+    assert mass(dist.pairs()) == pytest.approx(mass(schur_outcomes(rho, u)), abs=1e-12)
+    assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
+    assert all(-1e-12 <= p <= 1 + 1e-12 for p in dist.probabilities)
+
+
 # ---------------------------------------------------------------- documents
 
 def test_expectation_document_roundtrip():
@@ -391,6 +467,8 @@ def test_non_finite_inputs_fail_the_spectral_guards(bad):
     poisoned = np.array([[0.5, 0.0], [0.0, bad]], dtype=complex)
     with pytest.raises(NotHermitian):
         eigendecompose(poisoned)
+    with pytest.raises(NotHermitian):
+        outcome_probabilities(poisoned, np.eye(2))
     with pytest.raises(NotUnitary):
         outcome_probabilities(np.eye(2) / 2, poisoned)
     with pytest.raises(NonOrthonormalBasis):
