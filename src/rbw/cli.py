@@ -13,19 +13,22 @@ One subcommand per module operation family:
 
 Exit status: 0 success, 1 bad usage or invalid input, 2 a numerical
 contract was violated (residual over tolerance, failed check).
+
+Each subcommand imports the modules it uses when it runs, so `boost`
+and `scenario` start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from fractions import Fraction
 
-import numpy as np
-
-from . import catalog, contraction, mzi, relsim, selftest, symmetry_state
+# relsim is math-only, and the boost parser's --c default reads it
+from . import relsim
 from .errors import (
     InconsistentExpectations,
     MNotCentral,
@@ -35,8 +38,6 @@ from .errors import (
     RBWError,
     UsageError,
 )
-from .grouprep import load_group, load_irreps, verify_irrep
-from .tolerance import resolve
 
 __all__ = ["build_parser", "main"]
 
@@ -104,6 +105,7 @@ def _load_json(path: str):
 def _group_document(spec: str) -> dict:
     """A group document, from `builtin:<name>` or a JSON file path."""
     if spec.startswith("builtin:"):
+        from . import catalog
         name = spec.split(":", 1)[1]
         documents = catalog.builtin_documents()
         if name not in documents:
@@ -140,6 +142,7 @@ def _fraction(text: str, flag: str) -> Fraction:
 # ------------------------------------------------------------- subcommands
 
 def cmd_group_check(args) -> int:
+    from .grouprep import load_group, load_irreps, verify_irrep
     document = _group_document(args.group)
     group = load_group(document)
     irreps = load_irreps(document, group)
@@ -166,6 +169,8 @@ def cmd_group_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import symmetry_state
+    from .grouprep import load_group, load_irreps
     document = _group_document(args.group)
     group = load_group(document)
     irreps = load_irreps(document, group)
@@ -186,6 +191,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def _pipeline_from_args(args) -> tuple[float, list[mzi.Element]]:
+    from . import mzi
     if args.pipeline:
         if args.k0 is not None or args.elements:
             raise UsageError("--pipeline excludes --k0/--elements")
@@ -197,8 +203,12 @@ def _pipeline_from_args(args) -> tuple[float, list[mzi.Element]]:
 
 
 def cmd_mzi(args) -> int:
+    import numpy as np
+    from . import mzi
     k0, elements = _pipeline_from_args(args)
-    result = mzi.run_pipeline(elements, k0)
+    # an overflowing k0 * a leaves a NaN ket, which run_pipeline rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = mzi.run_pipeline(elements, k0)
     p = args.precision
     print(f"k0 = {_fmt(k0, p)}")
     for label, ket in result.stages:
@@ -212,9 +222,11 @@ def cmd_mzi(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+    from . import mzi
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
-    if not (np.isfinite(args.a_min) and np.isfinite(args.a_max)):
+    if not (math.isfinite(args.a_min) and math.isfinite(args.a_max)):
         raise UsageError("--a-min and --a-max must be finite")
     if not args.a_max >= args.a_min:
         raise UsageError("--a-max must not be below --a-min")
@@ -311,6 +323,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_contract(args) -> int:
+    from . import contraction
     hbar = _fraction(args.hbar, "--hbar")
     mass = _fraction(args.m, "--m")
     if hbar <= 0 or mass <= 0:
@@ -355,6 +368,7 @@ def cmd_contract(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest
     if args.list:
         for check_id, description in selftest.all_checks().items():
             print(f"{check_id}: {description}")

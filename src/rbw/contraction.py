@@ -43,7 +43,6 @@ __all__ = [
     "jacobi_residual",
     "ccr_check",
     "with_flipped_sign",
-    "weak_boost_transform",
     "format_combo",
     "format_table",
 ]
@@ -361,22 +360,6 @@ def ccr_check(table: BracketTable, hbar: Scalar = 1, m: Scalar = 1) -> CCRResult
     else:
         verdict = "ANOMALOUS"
     return CCRResult(pq=pq, pp=pp, qq=qq, hbar=hb, mass=mass, verdict=verdict)
-
-
-# ------------------------------------------------------------- weak boosts
-
-def weak_boost_transform(t: float, x: float, v: float,
-                         c: float) -> tuple[float, float]:
-    """First-order boost T = t - v x / c^2, X = x - v t (no gamma).
-
-    With c = inf this is the absolute-time transform (t, x - v t); at
-    finite c the mixing of x into T is what survives into the
-    contracted bracket between T and K.
-    """
-    if not (c > 0):
-        raise ValueError(f"speed of light must be positive, got {c}")
-    shift = 0.0 if math.isinf(c) else v * x / (c * c)
-    return t - shift, x - v * t
 
 
 # ---------------------------------------------------------------- rendering

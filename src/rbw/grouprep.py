@@ -305,7 +305,7 @@ def load_irrep(document, name: str, group: GroupSpec | None = None) -> Irrep:
         matrices_doc = _checked(entry["matrices"], dict, f"irrep {name!r} field 'matrices'")
     except KeyError as exc:
         raise ValueError(f"irrep {name!r} is missing field {exc}") from None
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"irrep {name!r}: n must be a positive integer, got {n!r}")
 
     matrices = {}

@@ -189,7 +189,6 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
     _validate_pipeline(elements)
 
     q, q_dag, s0 = _operators(k0)
-    ket = plus_ket()
     stages: list[tuple[str, np.ndarray]] = []
     bs_seen = 0
     for e in elements:
@@ -212,6 +211,10 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
 
     clicks = ClickDistribution(p_D1=float(abs(ket[0]) ** 2),
                                p_D2=float(abs(ket[1]) ** 2))
+    # scalar twin of _require_unit_norm: k0 * a may overflow into a NaN ket
+    norm2 = clicks.p_D1 + clicks.p_D2
+    if not (abs(norm2 - 1.0) <= resolve(None)):
+        raise ValueError(f"ket norm^2 = {norm2:.6g}, expected 1")
     return PipelineResult(ket=ket, clicks=clicks, stages=tuple(stages))
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "ScenarioReport",
     "gamma",
     "boost_event",
+    "weak_boost_transform",
     "simultaneity_classes",
     "interval",
     "interval_class",
@@ -122,6 +123,20 @@ def boost_event(event: SpacetimeEvent, boost: Boost,
     x2 = g * (event.x - boost.v * event.t)
     frame = _toggle_prime(event.frame) if target_frame is None else target_frame
     return SpacetimeEvent(t=t2, x=x2, frame=frame, label=event.label)
+
+
+def weak_boost_transform(t: float, x: float, v: float,
+                         c: float) -> tuple[float, float]:
+    """First-order boost T = t - v x / c^2, X = x - v t (no gamma).
+
+    With c = inf this is the absolute-time transform (t, x - v t); at
+    finite c the mixing of x into T is what survives into the
+    contracted bracket between T and K.
+    """
+    if not (c > 0):
+        raise ValueError(f"speed of light must be positive, got {c}")
+    shift = 0.0 if math.isinf(c) else v * x / (c * c)
+    return t - shift, x - v * t
 
 
 def _require_single_frame(events: Iterable[SpacetimeEvent]) -> str:
@@ -257,6 +272,8 @@ def load_events(document: Mapping) -> list[SpacetimeEvent]:
     if not isinstance(document, Mapping):
         raise ValueError(f"event document must be a JSON object, got {type(document).__name__}")
     frame = document.get("frame", "lab")
+    if not isinstance(frame, str):
+        raise ValueError(f"event document field 'frame' must be a string, got {frame!r}")
     entries = document.get("events", [])
     if not isinstance(entries, list):
         raise ValueError("event document field 'events' must be a JSON array, "
@@ -264,9 +281,11 @@ def load_events(document: Mapping) -> list[SpacetimeEvent]:
     out = []
     for i, entry in enumerate(entries):
         try:
-            out.append(SpacetimeEvent(t=float(entry["t"]), x=float(entry["x"]),
-                                      frame=frame,
-                                      label=str(entry.get("label", f"event{i + 1}"))))
+            t, x = float(entry["t"]), float(entry["x"])
+            label = entry.get("label", f"event{i + 1}")
+            if not isinstance(label, str):
+                raise TypeError(f"label must be a string, got {label!r}")
+            out.append(SpacetimeEvent(t=t, x=x, frame=frame, label=label))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad event entry {entry!r}: {exc}") from None
     if not out:

@@ -1,10 +1,12 @@
 """End-to-end checks of the command line front-end: dispatch, exit
 codes, output formats, determinism."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,84 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------- lazy start-up
+
+def _fresh_numpy_modules(body, argv=()):
+    """Run body in a fresh interpreter; return the numpy modules it loaded."""
+    src = Path(rbw.__file__).resolve().parents[1]
+    code = (f"import sys\n{body}\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'], file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    return proc.stderr.strip().splitlines()[-1]
+
+
+_RUN_CLI = "import rbw.cli\nassert rbw.cli.main(sys.argv[1:]) == 0"
+
+
+@pytest.mark.parametrize("body,argv", [
+    ("import rbw", ()),
+    ("import rbw.cli", ()),
+    (_RUN_CLI, ["boost", "--v", "0.6c", "--t", "0", "--x", "1000"]),
+    (_RUN_CLI, ["scenario", "--json"]),
+], ids=["import-rbw", "import-rbw-cli", "boost", "scenario-json"])
+def test_start_loads_no_numpy(body, argv):
+    assert _fresh_numpy_modules(body, argv) == "[]"
+
+
+def test_numpy_probe_sees_a_numpy_subcommand():
+    # control: the probe above would notice numpy if a subcommand loaded it
+    argv = ["mzi", "--k0", "2", "--elements", "source,bs,detector"]
+    assert "'numpy'" in _fresh_numpy_modules(_RUN_CLI, argv)
+
+
+def test_every_export_resolves_to_its_home_module():
+    assert set(rbw.__all__) <= set(dir(rbw))
+    imported = {}
+    exec(f"from rbw import {', '.join(rbw.__all__)}", imported)
+    for name in rbw.__all__:
+        value = getattr(rbw, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"rbw.{name}"], name
+        elif name != "__version__":
+            assert value is getattr(sys.modules[value.__module__], name), name
+        assert imported[name] is value, name
+    assert rbw.weak_boost_transform.__module__ == "rbw.relsim"
+    with pytest.raises(AttributeError):
+        getattr(rbw, "no_such_name")
+
+
+_NUMPY_FREE = {"relsim", "errors", "tolerance"}
+
+
+def _imports(nodes):
+    """(module, relative) for every import among nodes and their children,
+    skipping function bodies."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, False) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:
+                yield from ((alias.name, True) for alias in node.names)
+            else:
+                yield node.module, bool(node.level)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", sorted(_NUMPY_FREE) + ["cli"])
+def test_numpy_free_modules_import_no_numpy(module):
+    # relsim, errors and tolerance anywhere, cli at module level: numpy
+    # only through a subcommand that needs it
+    path = Path(rbw.__file__).with_name(f"{module}.py")
+    for name, relative in _imports(ast.parse(path.read_text()).body):
+        if relative:
+            assert name.split(".")[0] in _NUMPY_FREE, (module, name)
+        else:
+            assert name.split(".")[0] != "numpy", (module, name)
 
 
 def test_unrecognized_flag(capsys):
@@ -266,6 +346,14 @@ def test_mzi_pipeline_excludes_inline(capsys, tmp_path):
     code, _, err = run(capsys, "mzi", "--pipeline", str(path), "--k0", "2")
     assert code == 1
     assert "excludes" in err
+
+
+def test_mzi_phase_overflow_exits_1(capsys):
+    code, out, err = run(capsys, "mzi", "--k0", "1e300", "--elements",
+                         "source,bs,phase:1e10,bs,detector")
+    assert code == 1
+    assert out == ""
+    assert err == "error: ket norm^2 = nan, expected 1\n"
 
 
 def test_mzi_requires_some_input(capsys):
@@ -761,9 +849,22 @@ _RECONSTRUCT_Z2 = ["reconstruct", "--group", "builtin:z2", "--irrep", "sign", "-
      "'events' must be a JSON array"),
     (["mzi", "--pipeline"], {"k0": 2.0, "elements": "source"},
      "'elements' must be a JSON array"),
+    (["group-check", "--group"],
+     _z2(irreps={"sign": {"n": True, "matrices": {"e": [[[1, 0]]], "r": [[[-1, 0]]]}}}),
+     "n must be a positive integer, got True"),
+    (["boost", "--v", "0.6c", "--events"], {"frame": None, "events": [{"t": 0, "x": 0}]},
+     "'frame' must be a string"),
+    (["boost", "--v", "0.6c", "--events"], {"frame": 7, "events": [{"t": 0, "x": 0}]},
+     "'frame' must be a string"),
+    (["boost", "--v", "0.6c", "--events"], {"events": [{"label": float("nan"), "t": 0, "x": 0}]},
+     "label must be a string"),
+    (["mzi", "--pipeline"], {"k0": 1e308, "elements": ["source", "bs", "phase:0.3", "bs",
+                                                       "detector"]},
+     "ket norm^2 = nan"),
 ], ids=["irrep-without-n", "string-elements", "list-mul", "list-irreps", "nan-matrix",
         "inf-matrix", "no-values", "list-values", "nan-average", "list-expectations",
-        "list-events-document", "object-events", "string-pipeline-elements"])
+        "list-events-document", "object-events", "string-pipeline-elements",
+        "bool-irrep-n", "null-frame", "number-frame", "nan-label", "overflowing-k0"])
 def test_malformed_document_is_one_line_error(capsys, tmp_path, argv, doc, needle):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

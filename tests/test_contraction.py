@@ -18,10 +18,10 @@ from rbw.contraction import (
     galilean_table,
     jacobi_residual,
     poincare_table,
-    weak_boost_transform,
     with_flipped_sign,
 )
 from rbw.errors import MNotCentral, UnknownGenerator
+from rbw.relsim import weak_boost_transform
 
 I = RationalComplex(Fraction(0), Fraction(1))
 MINUS_I = RationalComplex(Fraction(0), Fraction(-1))

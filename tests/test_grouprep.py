@@ -158,6 +158,14 @@ def test_wrong_matrix_shape():
         load_irrep(doc, "bad")
 
 
+def test_bool_irrep_dimension_rejected():
+    # bool is an int subclass; n = true must not pass as n = 1
+    doc = {**catalog.builtin_documents()["z2"],
+           "irreps": {"sign": {"n": True, "matrices": {"e": [[[1, 0]]], "r": [[[-1, 0]]]}}}}
+    with pytest.raises(ValueError, match="positive integer"):
+        load_irrep(doc, "sign")
+
+
 def test_missing_matrix():
     doc = {**catalog.builtin_documents()["z2"],
            "irreps": {"partial": {"n": 1, "matrices": {"e": [[[1, 0]]]}}}}

@@ -196,6 +196,14 @@ def test_unknown_element_rejected():
         run_pipeline([Element("source"), Element("prism"), Element("detector")], K0)
 
 
+@pytest.mark.parametrize("k0,phase", [(1e300, "phase:1e10"), (1e308, "phase:0.3")])
+def test_overflowing_pipeline_fails_closed(k0, phase):
+    # k0 * a (or the beam splitter at k0 = 1e308) overflows into a NaN
+    # ket; the final norm check must reject it rather than report clicks
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="norm"):
+        run_pipeline(elements("source", "bs", phase, "bs", "detector"), k0)
+
+
 # ------------------------------------------------------------- expectations
 
 def test_expectation_on_plus_ket():

@@ -237,6 +237,18 @@ def test_bad_event_documents():
         load_events({"frame": "boys", "events": [{"t": float("nan"), "x": 0.0}]})
 
 
+@pytest.mark.parametrize("frame", [None, 0, 1.5, ["boys"], {"name": "boys"}, True])
+def test_non_string_frame_rejected(frame):
+    with pytest.raises(ValueError, match="'frame' must be a string"):
+        load_events({"frame": frame, "events": [{"t": 0.0, "x": 0.0}]})
+
+
+@pytest.mark.parametrize("label", [float("nan"), 7, None, ["a"], {"a": "b"}, False])
+def test_non_string_label_rejected(label):
+    with pytest.raises(ValueError, match="label must be a string"):
+        load_events({"frame": "boys", "events": [{"label": label, "t": 0.0, "x": 0.0}]})
+
+
 def test_nonfinite_event_rejected():
     with pytest.raises(ValueError):
         SpacetimeEvent(t=math.inf, x=0.0)
