@@ -209,6 +209,8 @@ def cmd_mzi(args) -> int:
     # an overflowing k0 * a leaves a NaN ket, which run_pipeline rejects
     with np.errstate(over="ignore", invalid="ignore"):
         result = mzi.run_pipeline(elements, k0)
+    # sample before printing, so that a bad --shots or --seed prints no report
+    sampled = mzi.sample_clicks(result.clicks, args.shots, args.seed) if args.shots else None
     p = args.precision
     print(f"k0 = {_fmt(k0, p)}")
     for label, ket in result.stages:
@@ -216,7 +218,7 @@ def cmd_mzi(args) -> int:
         print(f"{label}: [{amps}]")
     print(f"clicks: D1={_fmt(result.clicks.p_D1, p)} D2={_fmt(result.clicks.p_D2, p)}")
     if args.shots:
-        n1, n2 = mzi.sample_clicks(result.clicks, args.shots, args.seed)
+        n1, n2 = sampled
         print(f"sampled {args.shots} shots (seed {args.seed}): D1={n1} D2={n2}")
     return 0
 
@@ -240,9 +242,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _print_boosted(event: relsim.SpacetimeEvent, boost: relsim.Boost,
+def _print_boosted(out: relsim.SpacetimeEvent, boost: relsim.Boost,
                    precision: int, label: str = "") -> None:
-    out = relsim.boost_event(event, boost)
     t = _snap(out.t, max(abs(out.t), abs(out.x) / boost.c), precision)
     x = _snap(out.x, max(abs(out.x), abs(out.t) * boost.c), precision)
     prefix = f"{label}: " if label else ""
@@ -256,11 +257,14 @@ def cmd_boost(args) -> int:
         if args.t is not None or args.x is not None:
             raise UsageError("--events excludes --t/--x")
         events = relsim.load_events(_load_json(args.events))
-        for event in events:
-            _print_boosted(event, boost, args.precision, event.label)
+        # boost everything before printing, so that an overflow prints no report
+        moved = [relsim.boost_event(event, boost) for event in events]
+        classes = relsim.simultaneity_classes(events, boost) if args.classes else []
+        for out in moved:
+            _print_boosted(out, boost, args.precision, out.label)
         if args.classes:
             print("simultaneity classes:")
-            for cls in relsim.simultaneity_classes(events, boost):
+            for cls in classes:
                 labels = ", ".join(e.label for e in cls.events)
                 time = _snap(cls.time, max(abs(e.x) / boost.c for e in cls.events),
                              args.precision)
@@ -269,7 +273,7 @@ def cmd_boost(args) -> int:
     if args.t is None or args.x is None:
         raise UsageError("provide --t and --x, or --events FILE")
     event = relsim.SpacetimeEvent(t=args.t, x=args.x, frame=args.frame)
-    _print_boosted(event, boost, args.precision)
+    _print_boosted(relsim.boost_event(event, boost), boost, args.precision)
     return 0
 
 
@@ -387,13 +391,18 @@ def cmd_selftest(args) -> int:
 
 # --------------------------------------------------------------- dispatch
 
+# the most digits Python's float formatting takes
+_MAX_DIGITS = 2 ** 31 - 1
+
+
 def _digits(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value <= _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1 and at most {_MAX_DIGITS}, got {value}")
     return value
 
 

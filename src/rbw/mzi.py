@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import documents
 from .errors import MalformedPipeline
 from .tolerance import resolve
 
@@ -249,8 +250,9 @@ def hamiltonian_expectation(rho: np.ndarray, energy: float) -> float:
 
 def sample_clicks(clicks: ClickDistribution, shots: int, seed: int = 0) -> tuple[int, int]:
     """Draw Bernoulli detector counts for demonstration output."""
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
+    # the binomial draw takes a 64-bit count
+    if not 0 <= shots <= np.iinfo(np.int64).max:
+        raise ValueError(f"shots must be between 0 and 2**63 - 1, got {shots}")
     rng = np.random.default_rng(seed)
     d1 = int(rng.binomial(shots, min(max(clicks.p_D1, 0.0), 1.0)))
     return d1, shots - d1
@@ -302,19 +304,12 @@ def write_sweep_csv(rows, stream, precision: int = 12) -> None:
 
 def load_pipeline(document: Mapping) -> tuple[float, list[Element]]:
     """Parse `{k0: real, elements: ["source","bs","phase:0.3",...]}`."""
-    try:
-        k0 = _require_wavenumber(document["k0"])
-        tokens = document["elements"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedPipeline(f"pipeline document needs k0 and elements: {exc}")
-    if not isinstance(tokens, list):
-        raise MalformedPipeline(f"pipeline document field 'elements' must be a JSON array, "
-                                f"got {type(tokens).__name__}")
+    what = "pipeline document"
+    doc = documents.checked(document, dict, what)
+    k0 = _require_wavenumber(documents.field(doc, "k0", what, float))
     elements = []
-    for tok in tokens:
-        if not isinstance(tok, str):
-            raise MalformedPipeline(f"element tokens are strings, got {tok!r}")
-        if tok.startswith("phase:"):
+    for tok in documents.field(doc, "elements", what, list):
+        if documents.checked(tok, str, "element token").startswith("phase:"):
             try:
                 elements.append(Element("phase", float(tok.split(":", 1)[1])))
             except ValueError:

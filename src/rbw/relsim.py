@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from . import documents
 from .errors import MixedFrames, SuperluminalVelocity
 from .tolerance import resolve
 
@@ -269,25 +270,18 @@ def corealness_chain() -> ScenarioReport:
 
 def load_events(document: Mapping) -> list[SpacetimeEvent]:
     """Parse `{frame: name, events: [{label, t, x}]}`."""
-    if not isinstance(document, Mapping):
-        raise ValueError(f"event document must be a JSON object, got {type(document).__name__}")
-    frame = document.get("frame", "lab")
-    if not isinstance(frame, str):
-        raise ValueError(f"event document field 'frame' must be a string, got {frame!r}")
-    entries = document.get("events", [])
-    if not isinstance(entries, list):
-        raise ValueError("event document field 'events' must be a JSON array, "
-                         f"got {type(entries).__name__}")
+    what = "event document"
+    doc = documents.checked(document, dict, what)
+    frame = documents.field(doc, "frame", what, str, "lab")
     out = []
-    for i, entry in enumerate(entries):
-        try:
-            t, x = float(entry["t"]), float(entry["x"])
-            label = entry.get("label", f"event{i + 1}")
-            if not isinstance(label, str):
-                raise TypeError(f"label must be a string, got {label!r}")
-            out.append(SpacetimeEvent(t=t, x=x, frame=frame, label=label))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad event entry {entry!r}: {exc}") from None
+    for i, entry in enumerate(documents.field(doc, "events", what, list, []), start=1):
+        name = f"event {i}"
+        entry = documents.checked(entry, dict, name)
+        out.append(SpacetimeEvent(
+            t=documents.field(entry, "t", name, float),
+            x=documents.field(entry, "x", name, float),
+            frame=frame,
+            label=documents.checked(entry.get("label", f"event{i}"), str, f"{name}: label")))
     if not out:
         raise ValueError("event document lists no events")
     return out

@@ -37,6 +37,19 @@ class CheckResult:
     detail: str
 
 
+# check id -> (description, check); a check runs, and is listed, in the
+# order of its definition below
+_REGISTRY: dict[str, tuple[str, Callable[[], str]]] = {}
+
+
+def _check(check_id: str, description: str):
+    """Register the decorated function as the check check_id."""
+    def register(fn: Callable[[], str]) -> Callable[[], str]:
+        _REGISTRY[check_id] = (description, fn)
+        return fn
+    return register
+
+
 def _need(condition: bool, message: str) -> None:
     if not condition:
         raise CheckFailed(message)
@@ -55,6 +68,7 @@ def _phase_pipeline_elements(a: float) -> list[mzi.Element]:
 
 # ------------------------------------------------------------ state checks
 
+@_check("state-translation-average", "average of the translation operator in the swept state")
 def check_state_translation_average() -> str:
     rho = mzi.density_from_sweep(K0, [A])[0]
     got = complex(np.trace(rho @ mzi.translation_op(A, K0)))
@@ -64,6 +78,7 @@ def check_state_translation_average() -> str:
     return f"<T({A})> = {got:.6f}"
 
 
+@_check("state-eigenweights", "eigenweights of the swept state are the click probabilities")
 def check_state_eigenweights() -> str:
     rho = mzi.density_from_sweep(K0, [A])[0]
     pairs = symmetry_state.eigendecompose(rho)
@@ -76,6 +91,7 @@ def check_state_eigenweights() -> str:
     return "weights (cos^2, sin^2) on the translation eigenbasis"
 
 
+@_check("state-outcome-distribution", "outcome distribution over translation eigenvalues")
 def check_state_outcome_distribution() -> str:
     rho = mzi.density_from_sweep(K0, [A])[0]
     dist = symmetry_state.outcome_probabilities(rho, mzi.translation_op(A, K0))
@@ -85,6 +101,8 @@ def check_state_outcome_distribution() -> str:
     return "click statistics match the eigenvalue distribution"
 
 
+@_check("state-eigenket-expansion",
+        "reflection eigenket expands evenly over the translation basis")
 def check_state_eigenket_expansion() -> str:
     ket = mzi.reflection_eigenkets(0.0, K0)[0]
     coeffs = symmetry_state.expand_eigenket(
@@ -95,11 +113,13 @@ def check_state_eigenket_expansion() -> str:
 
 # -------------------------------------------------------------- mzi checks
 
+@_check("mzi-reflection-zero", "zero-offset reflection operator")
 def check_mzi_reflection_zero() -> str:
     _close(mzi.reflection_op(0.0, K0), [[0, 1], [1, 0]])
     return "zero-offset reflection swaps the amplitudes"
 
 
+@_check("mzi-reflection-eigenkets", "reflection eigenkets at sampled offsets")
 def check_mzi_reflection_eigenkets() -> str:
     for a in (0.0, 0.4, -1.2):
         s = mzi.reflection_op(a, K0)
@@ -109,18 +129,21 @@ def check_mzi_reflection_eigenkets() -> str:
     return "eigenvalue +1 and -1 kets verified at three offsets"
 
 
+@_check("mzi-splitter-plus", "splitter output for the |+> input")
 def check_mzi_splitter_plus() -> str:
     out = mzi.beam_splitter_op(K0) @ mzi.plus_ket()
     _close(out, np.array([1, 1]) / np.sqrt(2))
     return "splitter sends |+> to the balanced ket"
 
 
+@_check("mzi-splitter-unitary", "splitter unitarity")
 def check_mzi_splitter_unitary() -> str:
     q = mzi.beam_splitter_op(K0)
     _close(q @ q.conj().T, np.eye(2))
     return "Q Qdag = I"
 
 
+@_check("mzi-open-pipeline", "single-splitter pipeline click statistics")
 def check_mzi_open_pipeline() -> str:
     res = mzi.run_pipeline([mzi.Element("source"), mzi.Element("bs"),
                             mzi.Element("detector")], K0)
@@ -128,6 +151,7 @@ def check_mzi_open_pipeline() -> str:
     return "one splitter: both detectors at 1/2"
 
 
+@_check("mzi-closed-pipeline", "closed interferometer routes everything to D1")
 def check_mzi_closed_pipeline() -> str:
     res = mzi.run_pipeline([mzi.Element("source"), mzi.Element("bs"),
                             mzi.Element("mirrors"), mzi.Element("bs"),
@@ -137,6 +161,7 @@ def check_mzi_closed_pipeline() -> str:
     return "closed interferometer: only D1 clicks"
 
 
+@_check("mzi-phase-pipeline", "phase-plate pipeline states and clicks")
 def check_mzi_phase_pipeline() -> str:
     for a in np.linspace(-1.5, 1.5, 7):
         res = mzi.run_pipeline(_phase_pipeline_elements(float(a)), K0)
@@ -146,12 +171,14 @@ def check_mzi_phase_pipeline() -> str:
     return "phase sweep gives (cos^2, sin^2) clicks"
 
 
+@_check("mzi-balanced-density", "balanced post-sweep state at the eighth-wavelength shift")
 def check_mzi_balanced_density() -> str:
     a = np.pi / (4 * K0)
     _close(mzi.density_from_sweep(K0, [a])[0], np.diag([0.5, 0.5]))
     return "eighth-wavelength shift balances the state"
 
 
+@_check("mzi-energy-tagalong", "scalar energy rides along unchanged")
 def check_mzi_energy_tagalong() -> str:
     hbar, mass = 1.0545718e-34, 9.109e-31
     energy = hbar**2 * K0**2 / (2 * mass)
@@ -162,6 +189,7 @@ def check_mzi_energy_tagalong() -> str:
     return "energy average independent of the phase setting"
 
 
+@_check("mzi-sweep-columns", "sweep table columns match closed forms")
 def check_mzi_sweep_columns() -> str:
     rows = mzi.sweep_rows(K0, np.linspace(0.0, 1.0, 21))
     for a, p1, p2, re_t, im_t in rows:
@@ -175,12 +203,14 @@ def check_mzi_sweep_columns() -> str:
 
 # ----------------------------------------------------------- boost checks
 
+@_check("rel-gamma", "time-dilation factor at 0.6c")
 def check_rel_gamma() -> str:
     got = relsim.gamma(relsim.Boost(v=0.6 * relsim.SPEED_OF_LIGHT))
     _close(got, 1.25, tol=1e-14)
     return "gamma(0.6c) = 1.25"
 
 
+@_check("rel-boost-past", "simultaneous distant event lands in the moving frame's past")
 def check_rel_boost_past() -> str:
     out = relsim.boost_event(relsim.SpacetimeEvent(t=0.0, x=1000.0, frame="boys"),
                              relsim.Boost(v=0.6 * relsim.SPEED_OF_LIGHT))
@@ -188,6 +218,7 @@ def check_rel_boost_past() -> str:
     return f"(0 s, 1000 km) -> ({out.t:g} s, {out.x:g} km)"
 
 
+@_check("rel-boost-zero", "later distant event lands on the moving frame's zero slice")
 def check_rel_boost_zero() -> str:
     out = relsim.boost_event(relsim.SpacetimeEvent(t=0.002, x=1000.0, frame="boys"),
                              relsim.Boost(v=0.6 * relsim.SPEED_OF_LIGHT))
@@ -201,6 +232,7 @@ def _scenario_events():
             relsim.SpacetimeEvent(t=0.002, x=1000.0, frame="boys", label="event3")]
 
 
+@_check("rel-simultaneity-rest", "rest frame keeps the event pair in one class")
 def check_rel_simultaneity_rest() -> str:
     e1, e2, _ = _scenario_events()
     classes = relsim.simultaneity_classes([e1, e2], relsim.Boost(v=0.0))
@@ -208,6 +240,7 @@ def check_rel_simultaneity_rest() -> str:
     return "unboosted frame keeps the pair simultaneous"
 
 
+@_check("rel-simultaneity-split", "boost splits the simultaneous pair")
 def check_rel_simultaneity_split() -> str:
     e1, e2, _ = _scenario_events()
     classes = relsim.simultaneity_classes(
@@ -217,6 +250,7 @@ def check_rel_simultaneity_split() -> str:
     return "boost splits the pair to T = -0.0025 s and T = 0"
 
 
+@_check("rel-simultaneity-align", "boost aligns events with different unprimed times")
 def check_rel_simultaneity_align() -> str:
     e1, _, e3 = _scenario_events()
     classes = relsim.simultaneity_classes(
@@ -226,6 +260,7 @@ def check_rel_simultaneity_align() -> str:
     return "distinct unprimed times land on the shared T = 0 slice"
 
 
+@_check("rel-scenario-meeting", "five-observer scenario meeting line")
 def check_rel_scenario_meeting() -> str:
     report = relsim.corealness_chain()
     _close([report.events["event3"].t, report.boosted["event3"].t],
@@ -235,12 +270,14 @@ def check_rel_scenario_meeting() -> str:
     return "Bob passes Alice at t = 0.002 s, T = 0"
 
 
+@_check("rel-scenario-contraction", "length contraction across frames")
 def check_rel_scenario_contraction() -> str:
     lengths = relsim.corealness_chain().lengths
     _close([lengths["joe_bob_boys"], lengths["joe_bob_girls"]], [1000.0, 800.0])
     return "1000 km separation contracts to 800 km"
 
 
+@_check("rel-scenario-separations", "rider separations seen from both frames")
 def check_rel_scenario_separations() -> str:
     lengths = relsim.corealness_chain().lengths
     _close([lengths["kim_alice_girls"], lengths["kim_alice_boys"]],
@@ -255,6 +292,7 @@ def _ieps(degree=0, sign=1):
         contraction.RationalComplex(Fraction(0), Fraction(sign)), degree)
 
 
+@_check("algebra-rotations", "rotation brackets")
 def check_algebra_rotations() -> str:
     table = contraction.poincare_table()
     _need(table.bracket("J1", "J2") == {"J3": _ieps()},
@@ -264,6 +302,7 @@ def check_algebra_rotations() -> str:
     return "[J1,J2] = i J3 with antisymmetry"
 
 
+@_check("algebra-translation-boost", "suppressed translation-boost brackets")
 def check_algebra_translation_boost() -> str:
     table = contraction.poincare_table()
     _need(table.bracket("T1", "K1") == {"T0": _ieps(1)},
@@ -274,6 +313,7 @@ def check_algebra_translation_boost() -> str:
     return "suppressed brackets carry 1/c^2 with Jacobi-consistent signs"
 
 
+@_check("algebra-jacobi", "Jacobi identity holds exactly on all three tables")
 def check_algebra_jacobi() -> str:
     for build in (contraction.poincare_table, contraction.galilean_table):
         result = contraction.jacobi_residual(build())
@@ -285,6 +325,7 @@ def check_algebra_jacobi() -> str:
     return "all three tables satisfy Jacobi exactly"
 
 
+@_check("algebra-contraction", "infinite-speed limit of the bracket table")
 def check_algebra_contraction() -> str:
     con = contraction.contract(contraction.poincare_table(), 1, 1)
     _need(con.bracket("K1", "K2") == {}, "[K1,K2] != 0 after limit")
@@ -295,6 +336,7 @@ def check_algebra_contraction() -> str:
     return "limit zeroes the suppressed brackets and produces M"
 
 
+@_check("algebra-ccr", "momentum-position commutator closes on the identity")
 def check_algebra_ccr() -> str:
     con = contraction.contract(contraction.poincare_table(), 1, 1)
     result = contraction.ccr_check(con, 1, 1)
@@ -306,6 +348,7 @@ def check_algebra_ccr() -> str:
     return "[P_i,Q_n] = -i hbar delta_in I at hbar = 1"
 
 
+@_check("algebra-galilean", "absolute-time table has no commutator pair")
 def check_algebra_galilean() -> str:
     table = contraction.galilean_table()
     _need(table.bracket("T1", "K1") == {}, "[T1,K1] != 0")
@@ -318,6 +361,7 @@ def check_algebra_galilean() -> str:
 
 # ------------------------------------------------------------- group checks
 
+@_check("group-orthogonality", "orthogonality residual over the permutation-group irreps")
 def check_group_orthogonality() -> str:
     worst = max(orthogonality_residual(irr)
                 for irr in catalog.s3_irreps().values())
@@ -325,20 +369,14 @@ def check_group_orthogonality() -> str:
     return f"worst residual {worst:.2e} over three irreps"
 
 
+@_check("group-resolution", "resolution of group elements through the irrep sum")
 def check_group_resolution() -> str:
     worst = verify_irrep(catalog.s3_irreps()["standard"]).resolution_residual
     _need(worst < 1e-10, f"resolution residual {worst:.3e}")
     return f"worst residual {worst:.2e} over all six elements"
 
 
-def check_group_negative_control() -> str:
-    try:
-        load_group(catalog.corrupted_s3_document())
-    except Exception as exc:
-        return f"corrupted table rejected ({type(exc).__name__})"
-    raise CheckFailed("corrupted multiplication table was accepted")
-
-
+@_check("group-reconstruction", "state reconstruction roundtrip on the 2-dim irrep")
 def check_group_reconstruction() -> str:
     irr = catalog.s3_irreps()["standard"]
     rng = np.random.default_rng(1234)
@@ -351,92 +389,13 @@ def check_group_reconstruction() -> str:
     return "random state recovered from its averages"
 
 
-# ------------------------------------------------------------------ registry
-
-_REGISTRY: dict[str, tuple[str, Callable[[], str]]] = {
-    "state-translation-average":
-        ("average of the translation operator in the swept state",
-         check_state_translation_average),
-    "state-eigenweights":
-        ("eigenweights of the swept state are the click probabilities",
-         check_state_eigenweights),
-    "state-outcome-distribution":
-        ("outcome distribution over translation eigenvalues",
-         check_state_outcome_distribution),
-    "state-eigenket-expansion":
-        ("reflection eigenket expands evenly over the translation basis",
-         check_state_eigenket_expansion),
-    "mzi-reflection-zero":
-        ("zero-offset reflection operator", check_mzi_reflection_zero),
-    "mzi-reflection-eigenkets":
-        ("reflection eigenkets at sampled offsets", check_mzi_reflection_eigenkets),
-    "mzi-splitter-plus":
-        ("splitter output for the |+> input", check_mzi_splitter_plus),
-    "mzi-splitter-unitary":
-        ("splitter unitarity", check_mzi_splitter_unitary),
-    "mzi-open-pipeline":
-        ("single-splitter pipeline click statistics", check_mzi_open_pipeline),
-    "mzi-closed-pipeline":
-        ("closed interferometer routes everything to D1", check_mzi_closed_pipeline),
-    "mzi-phase-pipeline":
-        ("phase-plate pipeline states and clicks", check_mzi_phase_pipeline),
-    "mzi-balanced-density":
-        ("balanced post-sweep state at the eighth-wavelength shift",
-         check_mzi_balanced_density),
-    "mzi-energy-tagalong":
-        ("scalar energy rides along unchanged", check_mzi_energy_tagalong),
-    "mzi-sweep-columns":
-        ("sweep table columns match closed forms", check_mzi_sweep_columns),
-    "rel-gamma":
-        ("time-dilation factor at 0.6c", check_rel_gamma),
-    "rel-boost-past":
-        ("simultaneous distant event lands in the moving frame's past",
-         check_rel_boost_past),
-    "rel-boost-zero":
-        ("later distant event lands on the moving frame's zero slice",
-         check_rel_boost_zero),
-    "rel-simultaneity-rest":
-        ("rest frame keeps the event pair in one class",
-         check_rel_simultaneity_rest),
-    "rel-simultaneity-split":
-        ("boost splits the simultaneous pair", check_rel_simultaneity_split),
-    "rel-simultaneity-align":
-        ("boost aligns events with different unprimed times",
-         check_rel_simultaneity_align),
-    "rel-scenario-meeting":
-        ("five-observer scenario meeting line", check_rel_scenario_meeting),
-    "rel-scenario-contraction":
-        ("length contraction across frames", check_rel_scenario_contraction),
-    "rel-scenario-separations":
-        ("rider separations seen from both frames",
-         check_rel_scenario_separations),
-    "algebra-rotations":
-        ("rotation brackets", check_algebra_rotations),
-    "algebra-translation-boost":
-        ("suppressed translation-boost brackets", check_algebra_translation_boost),
-    "algebra-jacobi":
-        ("Jacobi identity holds exactly on all three tables",
-         check_algebra_jacobi),
-    "algebra-contraction":
-        ("infinite-speed limit of the bracket table", check_algebra_contraction),
-    "algebra-ccr":
-        ("momentum-position commutator closes on the identity",
-         check_algebra_ccr),
-    "algebra-galilean":
-        ("absolute-time table has no commutator pair", check_algebra_galilean),
-    "group-orthogonality":
-        ("orthogonality residual over the permutation-group irreps",
-         check_group_orthogonality),
-    "group-resolution":
-        ("resolution of group elements through the irrep sum",
-         check_group_resolution),
-    "group-reconstruction":
-        ("state reconstruction roundtrip on the 2-dim irrep",
-         check_group_reconstruction),
-    "group-negative-control":
-        ("corrupted multiplication table is rejected",
-         check_group_negative_control),
-}
+@_check("group-negative-control", "corrupted multiplication table is rejected")
+def check_group_negative_control() -> str:
+    try:
+        load_group(catalog.corrupted_s3_document())
+    except Exception as exc:
+        return f"corrupted table rejected ({type(exc).__name__})"
+    raise CheckFailed("corrupted multiplication table was accepted")
 
 
 def all_checks() -> dict[str, str]:

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import documents
 from .errors import (
     DimensionMismatch,
     InconsistentExpectations,
@@ -27,7 +28,7 @@ from .errors import (
     NotHermitian,
     NotUnitary,
 )
-from .grouprep import Irrep, _checked, complex_from_pair, pair_from_complex, pairs_from_matrix
+from .grouprep import Irrep, complex_from_pair, pair_from_complex, pairs_from_matrix
 from .tolerance import PHYSICALITY_THRESHOLD, resolve
 
 __all__ = [
@@ -235,14 +236,13 @@ def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray],
 
 def load_expectations(document: Mapping, irrep: Irrep) -> ExpectationSet:
     """Parse `{irrep: name, values: {g: [re, im]}}` against a known irrep."""
-    _checked(document, dict, "expectation document")
-    name = document.get("irrep")
+    what = "expectation document"
+    doc = documents.checked(document, dict, what)
+    name = documents.field(doc, "irrep", what, default=None)
     if name != irrep.name:
         raise ValueError(f"document is for irrep {name!r}, not {irrep.name!r}")
-    if "values" not in document:
-        raise ValueError("expectation document is missing field 'values'")
-    values = {g: complex_from_pair(pair) for g, pair in
-              _checked(document["values"], dict, "expectation document field 'values'").items()}
+    values = {g: complex_from_pair(pair)
+              for g, pair in documents.field(doc, "values", what, dict).items()}
     es = ExpectationSet(irrep=irrep, values=values)
     missing = es.missing_elements()
     if missing:

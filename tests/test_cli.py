@@ -101,7 +101,7 @@ def test_every_export_resolves_to_its_home_module():
         getattr(rbw, "no_such_name")
 
 
-_NUMPY_FREE = {"relsim", "errors", "tolerance"}
+_NUMPY_FREE = {"relsim", "errors", "tolerance", "documents"}
 
 
 def _imports(nodes):
@@ -121,7 +121,7 @@ def _imports(nodes):
 
 @pytest.mark.parametrize("module", sorted(_NUMPY_FREE) + ["cli"])
 def test_numpy_free_modules_import_no_numpy(module):
-    # relsim, errors and tolerance anywhere, cli at module level: numpy
+    # relsim, errors, tolerance and documents anywhere, cli at module level: numpy
     # only through a subcommand that needs it
     path = Path(rbw.__file__).with_name(f"{module}.py")
     for name, relative in _imports(ast.parse(path.read_text()).body):
@@ -354,6 +354,15 @@ def test_mzi_phase_overflow_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: ket norm^2 = nan, expected 1\n"
+
+
+@pytest.mark.parametrize("flag", ["--shots=-1", "--shots=1180591620717411303424", "--seed=-1"])
+def test_mzi_bad_sampling_prints_no_report(capsys, flag):
+    code, out, err = run(capsys, "mzi", "--k0=2", "--elements=source,bs,detector",
+                         "--shots=10", flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_mzi_requires_some_input(capsys):
@@ -861,10 +870,23 @@ _RECONSTRUCT_Z2 = ["reconstruct", "--group", "builtin:z2", "--irrep", "sign", "-
     (["mzi", "--pipeline"], {"k0": 1e308, "elements": ["source", "bs", "phase:0.3", "bs",
                                                        "detector"]},
      "ket norm^2 = nan"),
+    (["boost", "--v", "0.6c", "--events"], {"events": [{"t": 0, "x": 0}, {"t": 1e308, "x": 0}]},
+     "must be finite"),
+    *[(argv, doc(bad), "must be a finite number")
+      for argv, doc in [
+          (["boost", "--v", "0.6c", "--events"], lambda t: {"events": [{"t": t, "x": 1000}]}),
+          (["mzi", "--pipeline"], lambda k0: {"k0": k0, "elements": ["source", "bs", "detector"]}),
+          (["group-check", "--group"], lambda re: _z2_sign([re, 0])),
+          (_RECONSTRUCT_Z2, lambda re: {"irrep": "sign", "values": {"e": [re, 0], "r": [-1, 0]}}),
+      ]
+      for bad in (True, "1", 10 ** 400)],
 ], ids=["irrep-without-n", "string-elements", "list-mul", "list-irreps", "nan-matrix",
         "inf-matrix", "no-values", "list-values", "nan-average", "list-expectations",
         "list-events-document", "object-events", "string-pipeline-elements",
-        "bool-irrep-n", "null-frame", "number-frame", "nan-label", "overflowing-k0"])
+        "bool-irrep-n", "null-frame", "number-frame", "nan-label", "overflowing-k0",
+        "overflowing-event",
+        *[f"{bad}-{where}" for where in ("event-t", "k0", "matrix-entry", "average")
+          for bad in ("bool", "string", "huge")]])
 def test_malformed_document_is_one_line_error(capsys, tmp_path, argv, doc, needle):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -883,3 +905,12 @@ def test_precision_below_one_is_usage_error(capsys, argv, digits):
     assert code == 1
     assert out == ""
     assert "--precision" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("digits", [str(2 ** 31), "9" * 400], ids=["2**31", "400-digits"])
+def test_precision_beyond_float_formatting_is_usage_error(capsys, digits):
+    code, out, err = run(capsys, "boost", "--v", "0.6c", "--t", "0", "--x", "1",
+                         "--precision", digits)
+    assert code == 1
+    assert out == ""
+    assert "--precision" in err and "at most 2147483647" in err

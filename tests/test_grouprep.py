@@ -1,6 +1,7 @@
 """Tables, axioms, and unitary irrep checks."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -586,7 +587,18 @@ def test_non_finite_irrep_fails_verification(bad):
     assert len(report.failures) >= 3
 
 
-@pytest.mark.parametrize("pair", [["NaN", 0], [0, "inf"], [float("-inf"), 0]])
+def test_huge_irrep_entry_fails_verification_quietly():
+    # 1e308 is a finite number, so it loads; its products overflow
+    doc = {**catalog.builtin_documents()["z2"],
+           "irreps": {"sign": {"n": 1, "matrices": {"e": [[[1, 0]]], "r": [[[1e308, 0]]]}}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_irrep(load_irrep(doc, "sign"))
+    assert not report.ok
+
+
+@pytest.mark.parametrize("pair", [["NaN", 0], [0, "inf"], [float("-inf"), 0],
+                                  [True, False], ["-1", "0"], [10 ** 400, 0]])
 def test_non_finite_matrix_entry_rejected_at_load(pair):
     doc = {**catalog.builtin_documents()["z2"],
            "irreps": {"sign": {"n": 1, "matrices": {"e": [[[1, 0]]], "r": [[pair]]}}}}

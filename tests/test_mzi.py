@@ -8,6 +8,7 @@ import pytest
 from rbw import mzi
 from rbw.errors import MalformedPipeline
 from rbw.mzi import (
+    ClickDistribution,
     Element,
     beam_splitter_op,
     density_from_sweep,
@@ -311,6 +312,12 @@ def test_sample_clicks_deterministic():
     assert sum(first) == 1000
 
 
+@pytest.mark.parametrize("shots", [-1, 2 ** 63, 2 ** 70])
+def test_sample_clicks_rejects_counts_outside_int64(shots):
+    with pytest.raises(ValueError, match="shots must be between 0 and 2\\*\\*63 - 1"):
+        sample_clicks(ClickDistribution(0.5, 0.5), shots)
+
+
 def test_sweep_rows_frozen_point():
     a = np.pi / (3 * K0)   # k0 a = pi/3
     ((got_a, p1, p2, re_t, im_t),) = sweep_rows(K0, [a])
@@ -432,6 +439,9 @@ def test_pipeline_document_roundtrip_is_lossless(a):
     {"k0": -1.0, "elements": ["source", "detector"]},
     {"k0": 2.0, "elements": ["source", "phase:abc", "detector"]},
     {"k0": 2.0, "elements": ["source", 42, "detector"]},
+    {"k0": True, "elements": ["source", "bs", "detector"]},
+    {"k0": "2", "elements": ["source", "bs", "detector"]},
+    {"k0": 10 ** 400, "elements": ["source", "bs", "detector"]},
 ])
 def test_bad_pipeline_documents(doc):
     with pytest.raises((MalformedPipeline, ValueError)):

@@ -235,6 +235,9 @@ def test_bad_event_documents():
         load_events({"frame": "boys", "events": [{"t": 0.0}]})
     with pytest.raises(ValueError):
         load_events({"frame": "boys", "events": [{"t": float("nan"), "x": 0.0}]})
+    for t in (True, "1", 10 ** 400):
+        with pytest.raises(ValueError, match="'t' must be a finite number"):
+            load_events({"frame": "boys", "events": [{"t": t, "x": 0.0}]})
 
 
 @pytest.mark.parametrize("frame", [None, 0, 1.5, ["boys"], {"name": "boys"}, True])

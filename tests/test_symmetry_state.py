@@ -481,6 +481,9 @@ def test_non_finite_inputs_fail_the_spectral_guards(bad):
     ({"irrep": "sign", "values": [[1, 0], [-1, 0]]}, "'values' must be a JSON object"),
     ({"irrep": "sign", "values": {"e": [1, 0], "r": ["NaN", 0]}}, "finite"),
     ({"irrep": "sign", "values": {"e": [1, 0], "r": [None, 0]}}, "pair"),
+    ({"irrep": "sign", "values": {"e": [True, 0], "r": [-1, 0]}}, "finite number"),
+    ({"irrep": "sign", "values": {"e": ["1", 0], "r": [-1, 0]}}, "finite number"),
+    ({"irrep": "sign", "values": {"e": [10 ** 400, 0], "r": [-1, 0]}}, "finite number"),
 ])
 def test_malformed_expectation_documents(document, match):
     with pytest.raises(ValueError, match=match):
