@@ -94,11 +94,12 @@ def _emit_json(document: dict, path: str | None, precision: int) -> None:
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:       # RFC 8259: JSON is UTF-8
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an integer past 4300 digits
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -364,7 +365,7 @@ def cmd_contract(args) -> int:
     print(f"[P1,Q2] = {contraction.format_combo(result.pq[(1, 2)])}")
     print(f"[P1,Q1] = {contraction.format_combo(result.pq[(1, 1)])}")
     if result.verdict == "CCR RECOVERED":
-        coeff = result.pq[(1, 1)]["I"]
+        coeff = contraction.format_poly(result.pq[(1, 1)]["I"])
         print(f"[P_i,Q_n] = {coeff} δ_in I : {result.verdict}")
         return 0
     print(f"[P_i,Q_n] : {result.verdict}")

@@ -6,6 +6,9 @@ Gaussian-integer coefficient of eps**deg e_c in [e_a, e_b], eps = 1/c^2.
 Generator a is scale[a] * e_a for an exact Fraction scale, applied only
 when a coefficient leaves the engine, so the Jacobi identity and the
 limit c to infinity are exact integer operations, never float checks.
+A bracket value leaves the engine as a Combo of plain exact data, generator ->
+{eps degree: (re, im)} with Fraction parts and no zero term or empty generator,
+so [K1, K2] == {"J3": {1: (0, -1)}}: builtin dicts and tuples compare by value.
 
 The limit is an Inonu-Wigner contraction: T0 is rescaled into the mass
 generator M = hbar*eps*T0 and the degree-0 slice is kept.  Momentum
@@ -32,8 +35,6 @@ import numpy as np
 from .errors import MNotCentral, UnknownGenerator
 
 __all__ = [
-    "RationalComplex",
-    "EpsPoly",
     "BracketTable",
     "JacobiResult",
     "CCRResult",
@@ -43,6 +44,7 @@ __all__ = [
     "jacobi_residual",
     "ccr_check",
     "with_flipped_sign",
+    "format_poly",
     "format_combo",
     "format_table",
 ]
@@ -62,58 +64,8 @@ def _positive_fraction(value: Scalar, name: str) -> Fraction:
 
 # ---------------------------------------------------------- result values
 
-@dataclass(frozen=True)
-class RationalComplex:
-    """A complex number with exact rational parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __mul__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re * other.re - self.im * other.im,
-                               self.re * other.im + self.im * other.re)
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-    def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
-            im = "i"
-        elif self.im == -1:
-            im = "-i"
-        elif self.im.denominator == 1:
-            im = f"{self.im}i"
-        else:
-            im = f"({self.im})i"
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return f"({self.re}{sign}{im})"
-
-
-@dataclass(frozen=True)
-class EpsPoly:
-    """Exact polynomial in eps = 1/c^2: each degree with its nonzero
-    coefficient, sorted by degree, so instances compare by value."""
-
-    terms: tuple[tuple[int, RationalComplex], ...] = ()
-
-    @staticmethod
-    def of(coeff: RationalComplex, degree: int = 0) -> "EpsPoly":
-        return EpsPoly(((degree, coeff),)) if coeff else EpsPoly()
-
-    def __str__(self) -> str:
-        parts = [str(c) if d == 0 else f"{c}/c^{2 * d}" for d, c in self.terms]
-        return " + ".join(parts) or "0"
-
-
-# Linear combinations of generators: label -> coefficient polynomial.
-Combo = dict[str, EpsPoly]
+# Linear combinations of generators: label -> {eps degree: (re, im)}.
+Combo = dict[str, dict[int, tuple[Fraction, Fraction]]]
 
 
 def _combo(table: "BracketTable", row: np.ndarray, k: Fraction,
@@ -121,7 +73,7 @@ def _combo(table: "BracketTable", row: np.ndarray, k: Fraction,
     """k * sum_c row[deg, c] eps**deg e_c over generators g_c = scale[c] e_c,
     exactly; evaluated at eps when given, and with M read as m I when
     mass is given."""
-    acc: dict[str, dict[int, tuple[Fraction, Fraction]]] = {}
+    acc: Combo = {}
     for d, column in enumerate(row.tolist()):
         for c, (re, im) in enumerate(column):
             if re or im:
@@ -131,15 +83,8 @@ def _combo(table: "BracketTable", row: np.ndarray, k: Fraction,
                 w, at = (w, d) if eps is None else (w * eps ** d, 0)
                 old_re, old_im = acc.setdefault(g, {}).get(at, (0, 0))
                 acc[g][at] = (old_re + w * re, old_im + w * im)
-    polys = {g: EpsPoly(tuple((d, RationalComplex(re, im))
-                              for d, (re, im) in sorted(terms.items()) if re or im))
-             for g, terms in acc.items()}
-    return {g: p for g, p in polys.items() if p.terms}
-
-
-def format_combo(combo: Combo) -> str:
-    parts = [f"({p}) {g}" if len(p.terms) > 1 else f"{p} {g}" for g, p in sorted(combo.items())]
-    return " + ".join(parts) or "0"
+    polys = {g: {d: z for d, z in terms.items() if any(z)} for g, terms in acc.items()}
+    return {g: p for g, p in polys.items() if p}
 
 
 # -------------------------------------------------------------------- table
@@ -303,7 +248,7 @@ def jacobi_residual(table: BracketTable) -> JacobiResult:
     for t in np.flatnonzero(jac.any(axis=(0, 2, 3))).tolist():
         x, y, z = triples[t]
         combo = _combo(table, jac[:, t], s[x] * s[y] * s[z])
-        mag = max(abs(c) for p in combo.values() for _, c in p.terms)
+        mag = max(math.hypot(re, im) for p in combo.values() for re, im in p.values())
         if mag > worst.residual:
             names = (table.generators[x], table.generators[y], table.generators[z])
             worst = JacobiResult(mag, names, combo)
@@ -351,7 +296,7 @@ def ccr_check(table: BracketTable, hbar: Scalar = 1, m: Scalar = 1) -> CCRResult
     pp = block("T", "T", hb * hb)
     qq = block("K", "K", hb * hb / (mass * mass))
 
-    target = {"I": EpsPoly.of(RationalComplex(Fraction(0), -hb))}
+    target = {"I": {0: (0, -hb)}}
     if (pq == {(i, n): target if i == n else {} for i, n in pq}
             and not any(pp.values()) and not any(qq.values())):
         verdict = "CCR RECOVERED"
@@ -363,6 +308,37 @@ def ccr_check(table: BracketTable, hbar: Scalar = 1, m: Scalar = 1) -> CCRResult
 
 
 # ---------------------------------------------------------------- rendering
+
+def _format_coeff(re: Fraction, im: Fraction) -> str:
+    """An exact complex number: 3/4, -i, -3i, (1/4)i, (1+(1/4)i)."""
+    if im == 0:
+        return str(re)
+    if im == 1:
+        imag = "i"
+    elif im == -1:
+        imag = "-i"
+    elif im.denominator == 1:
+        imag = f"{im}i"
+    else:
+        imag = f"({im})i"
+    if re == 0:
+        return imag
+    sign = "+" if im > 0 else ""
+    return f"({re}{sign}{imag})"
+
+
+def format_poly(poly: Mapping[int, tuple[Fraction, Fraction]]) -> str:
+    """One generator's coefficient polynomial in eps = 1/c^2, e.g. 1 + i/c^2."""
+    parts = [_format_coeff(*z) if d == 0 else f"{_format_coeff(*z)}/c^{2 * d}"
+             for d, z in sorted(poly.items())]
+    return " + ".join(parts) or "0"
+
+
+def format_combo(combo: Combo) -> str:
+    parts = [f"({format_poly(p)}) {g}" if len(p) > 1 else f"{format_poly(p)} {g}"
+             for g, p in sorted(combo.items())]
+    return " + ".join(parts) or "0"
+
 
 def format_table(table: BracketTable, c: Scalar | None = None) -> str:
     """Human-readable nonzero brackets; pass c to evaluate eps = 1/c^2."""

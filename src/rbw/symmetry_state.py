@@ -44,6 +44,10 @@ __all__ = [
     "density_document",
 ]
 
+# eig's round-off on a unitary: Gram skew of its eigenvectors, and the spread
+# of the phases it returns for one eigenvalue
+_EIG_ROUND_OFF = 1e-13
+
 
 @dataclass(frozen=True)
 class ExpectationSet:
@@ -178,8 +182,10 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
 
     Eigenvalues sit on the unit circle and may be complex; only the
     click statistics they label need to be real.  Degenerate eigenvalues
-    (phases equal to 12 decimals) are merged with summed probability,
-    and outcomes come out ordered by phase.
+    are merged with summed probability: sorted by phase, each run whose
+    neighbouring phases are equal to 12 decimals or at most 1e-13 apart is
+    one outcome, and the +pi/-pi seam closes the circle.  Outcomes come
+    out ordered by phase.
     """
     tol = resolve(tol)
     rho = np.asarray(rho, dtype=complex)
@@ -198,14 +204,23 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
     # U unitary only to tol.  V = QR then makes U Q = Q (R diag(lam) R^-1) a
     # Schur form whose column j belongs to lam[j]; skew < 1e-13 shifts p < 1e-12.
     lam, vecs = np.linalg.eig(symmetry)
-    if not np.abs(vecs.conj().T @ vecs - np.eye(n)).max() <= 1e-13:
+    if not np.abs(vecs.conj().T @ vecs - np.eye(n)).max() <= _EIG_ROUND_OFF:
         vecs = np.linalg.qr(vecs)[0]
     probs = (vecs.conj() * (rho @ vecs)).sum(axis=0).real.tolist()
     phases = np.angle(lam)
     phases[phases < -np.pi + 5e-13] += 2 * np.pi   # keep the +pi/-pi seam on one side
-    merged: dict[float, tuple[complex, float]] = {}
-    for lam_j, phase, p in zip(lam.tolist(), phases.tolist(), probs):
-        key = round(phase, 12)
+    phases = phases.tolist()
+    # sorted phases equal to 12 decimals, or within eig's round-off of each
+    # other (which can straddle a rounding boundary), chain into one outcome
+    order = sorted(range(n), key=phases.__getitem__)
+    run = [0] * n                                 # outcome index of each eigenvalue
+    for i, j in zip(order, order[1:]):
+        run[j] = run[i] + (phases[j] - phases[i] > _EIG_ROUND_OFF
+                           and round(phases[j], 12) != round(phases[i], 12))
+    if phases[order[0]] + 2 * np.pi - phases[order[-1]] <= _EIG_ROUND_OFF:
+        run = [r or run[order[-1]] for r in run]  # the seam closes the circle
+    merged: dict[int, tuple[complex, float]] = {}
+    for lam_j, key, p in zip(lam.tolist(), run, probs):
         lam0, p0 = merged.get(key, (lam_j, 0.0))
         merged[key] = (lam0, p0 + p)
     keys = sorted(merged)

@@ -557,12 +557,14 @@ def test_contract_finite_c_section(capsys):
     assert code == 0
     assert "[K1,K2] = -i/c^2 J3" in out      # symbolic
     assert "[K1,K2] = (-1/4)i J3" in out     # evaluated at c = 2
+    assert out == CONTRACT_C2_STDOUT
 
 
 def test_contract_rational_scales(capsys):
     code, out, _ = run(capsys, "contract", "--hbar", "1/2", "--m", "3")
     assert code == 0
     assert "CCR RECOVERED" in out
+    assert out == CONTRACT_HALF_HBAR_STDOUT
 
 
 @pytest.mark.parametrize("argv", [
@@ -761,6 +763,189 @@ absolute-time [P1,Q1] = 0 : NO CCR
 [P_i,Q_n] = (-5272859/50000000000000000000000000000000000000000)i δ_in I : CCR RECOVERED
 """
 
+# Captured from the release before bracket values became plain data.
+# `rbw contract --c 2`: the symbolic table, then the same table at eps = 1/4
+CONTRACT_C2_STDOUT = """\
+# poincare (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,K2] = -i/c^2 J3
+[K1,K3] = i/c^2 J2
+[K1,T1] = -i/c^2 T0
+[K1,T0] = -i T1
+[K2,K3] = -i/c^2 J1
+[K2,T2] = -i/c^2 T0
+[K2,T0] = -i T2
+[K3,T3] = -i/c^2 T0
+[K3,T0] = -i T3
+
+# poincare (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,K2] = (-1/4)i J3
+[K1,K3] = (1/4)i J2
+[K1,T1] = (-1/4)i T0
+[K1,T0] = -i T1
+[K2,K3] = (-1/4)i J1
+[K2,T2] = (-1/4)i T0
+[K2,T0] = -i T2
+[K3,T3] = (-1/4)i T0
+[K3,T0] = -i T3
+
+# contracted (11 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,T1] = -i M
+[K2,T2] = -i M
+[K3,T3] = -i M
+
+# galilean (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,T0] = -i T1
+[K2,T0] = -i T2
+[K3,T0] = -i T3
+
+jacobi residual (relativistic): 0
+jacobi residual (contracted): 0
+jacobi residual (absolute-time): 0
+
+absolute-time [P1,Q1] = 0 : NO CCR
+[P1,Q2] = 0
+[P1,Q1] = -i I
+[P_i,Q_n] = -i δ_in I : CCR RECOVERED
+"""
+
+# `rbw contract --hbar 1/2 --m 3`: the non-unit scale of M shows in [K,T]
+CONTRACT_HALF_HBAR_STDOUT = """\
+# poincare (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,K2] = -i/c^2 J3
+[K1,K3] = i/c^2 J2
+[K1,T1] = -i/c^2 T0
+[K1,T0] = -i T1
+[K2,K3] = -i/c^2 J1
+[K2,T2] = -i/c^2 T0
+[K2,T0] = -i T2
+[K3,T3] = -i/c^2 T0
+[K3,T0] = -i T3
+
+# contracted (11 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,T1] = -2i M
+[K2,T2] = -2i M
+[K3,T3] = -2i M
+
+# galilean (10 generators)
+[J1,J2] = i J3
+[J1,J3] = -i J2
+[J1,K2] = i K3
+[J1,K3] = -i K2
+[J1,T2] = i T3
+[J1,T3] = -i T2
+[J2,J3] = i J1
+[J2,K1] = -i K3
+[J2,K3] = i K1
+[J2,T1] = -i T3
+[J2,T3] = i T1
+[J3,K1] = i K2
+[J3,K2] = -i K1
+[J3,T1] = i T2
+[J3,T2] = -i T1
+[K1,T0] = -i T1
+[K2,T0] = -i T2
+[K3,T0] = -i T3
+
+jacobi residual (relativistic): 0
+jacobi residual (contracted): 0
+jacobi residual (absolute-time): 0
+
+absolute-time [P1,Q1] = 0 : NO CCR
+[P1,Q2] = 0
+[P1,Q1] = (-1/2)i I
+[P_i,Q_n] = (-1/2)i δ_in I : CCR RECOVERED
+"""
+
 
 def test_contract_default_matches_reference(capsys):
     code, out, _ = run(capsys, "contract")
@@ -896,6 +1081,23 @@ def test_malformed_document_is_one_line_error(capsys, tmp_path, argv, doc, needl
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
 
+
+@pytest.mark.parametrize("text,needle", [
+    pytest.param(b'{"k0": 1' + b"0" * 4999 + b', "elements": ["source", "bs", "detector"]}',
+                 "4300 digits", id="5000-digit-k0",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this Python parses integers of any length")),
+    pytest.param(b'{"k0": 2.0, "elements": ["s\xe9"]}', "utf-8", id="latin-1-byte"),
+])
+def test_unparseable_document_names_the_file(capsys, tmp_path, text, needle):
+    # json.dumps writes neither document, so write the bytes directly
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    code, out, err = run(capsys, "mzi", "--pipeline", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+    assert needle in err
 
 @pytest.mark.parametrize("argv", [["group-check", "--group", "builtin:z2"], ["selftest"],
                                   ["boost", "--v", "0.6c", "--t", "0", "--x", "1"]])

@@ -397,6 +397,20 @@ def test_outcomes_stay_a_distribution_on_a_rounding_boundary(seed):
     assert mass(dist.pairs()) == pytest.approx(mass(schur_outcomes(rho, u)), abs=1e-12)
     assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
     assert all(-1e-12 <= p <= 1 + 1e-12 for p in dist.probabilities)
+    assert len(dist.eigenvalues) == 2
+
+
+@pytest.mark.parametrize("center", [0.1234567890125, -np.pi + 5e-13],
+                         ids=["rounding-boundary", "seam-shift-edge"])
+def test_phases_within_round_off_are_one_outcome(center):
+    # two eigenphases 2e-15 apart, on either side of a 12-decimal rounding
+    # boundary or of the edge where -pi phases move to +pi, are one outcome
+    u = np.diag(np.exp(1j * np.array([center - 1e-15, center + 1e-15, 2.0])))
+    rho = random_state(3, np.random.default_rng(0))
+    dist = outcome_probabilities(rho, u)
+    assert len(dist.eigenvalues) == 2
+    merged, = (p for lam, p in dist.pairs() if abs(lam - np.exp(1j * center)) < 1e-9)
+    assert merged == pytest.approx((rho[0, 0] + rho[1, 1]).real, abs=1e-12)
 
 
 # ---------------------------------------------------------------- documents
