@@ -38,6 +38,7 @@ from .errors import (
     RBWError,
     UsageError,
 )
+from .tolerance import default_tolerance
 
 __all__ = ["build_parser", "main"]
 
@@ -503,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
+        default_tolerance()      # a bad RBW_TOLERANCE fails before any output
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

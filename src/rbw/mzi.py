@@ -89,15 +89,25 @@ def plus_ket() -> np.ndarray:
     return np.array([1.0 + 0j, 0.0 + 0j])
 
 
+# the source ket of every pipeline run, shared and so read-only
+_PLUS = plus_ket()
+_PLUS.setflags(write=False)
+
+
 def minus_ket() -> np.ndarray:
     return np.array([0.0 + 0j, 1.0 + 0j])
 
 
 # ---------------------------------------------------------------- operators
 
+def _translation_phases(a: float, k0: float) -> np.ndarray:
+    """The diagonal (e^{-i k0 a}, e^{i k0 a}) of T(a), for a validated k0."""
+    return np.array([np.exp(-1j * k0 * a), np.exp(1j * k0 * a)])
+
+
 def translation_op(a: float, k0: float) -> np.ndarray:
     k0 = _require_wavenumber(k0)
-    return np.diag([np.exp(-1j * k0 * a), np.exp(1j * k0 * a)])
+    return np.diag(_translation_phases(a, k0))
 
 
 def reflection_op(a: float, k0: float) -> np.ndarray:
@@ -150,14 +160,15 @@ def _require_unit_norm(norm2: np.ndarray, tol: float | None) -> None:
 
 # ----------------------------------------------------------------- pipeline
 
-def _validate_pipeline(elements: Sequence[Element]) -> None:
-    kinds = [e.kind for e in elements]
+@functools.lru_cache(maxsize=64)
+def _layout(kinds: tuple[str, ...]) -> int | None:
+    """Check the order of a pipeline's element kinds; return the index of
+    its phase plate, or None.  Cached on the kinds: a bad layout raises and
+    is never cached, so it raises on every call."""
     known = {"source", "bs", "mirrors", "phase", "detector"}
-    for e in elements:
-        if e.kind not in known:
-            raise MalformedPipeline(f"unknown element {e.kind!r}")
-        if e.kind == "phase" and (e.a is None or not math.isfinite(e.a)):
-            raise MalformedPipeline("phase plate needs a finite shift, e.g. phase:0.3")
+    for kind in kinds:
+        if kind not in known:
+            raise MalformedPipeline(f"unknown element {kind!r}")
     if not kinds or kinds[0] != "source":
         raise MalformedPipeline("pipeline must begin with source")
     if kinds[-1] != "detector":
@@ -177,6 +188,16 @@ def _validate_pipeline(elements: Sequence[Element]) -> None:
                 raise MalformedPipeline(f"{name} must come after the first beam splitter")
             if len(bs_idx) == 2 and i > bs_idx[1]:
                 raise MalformedPipeline(f"{name} must come before the second beam splitter")
+    return kinds.index("phase") if "phase" in kinds else None
+
+
+def _validate_pipeline(elements: Sequence[Element]) -> None:
+    phase = _layout(tuple(e.kind for e in elements))
+    # phase values change from call to call, so they are checked outside the cache
+    if phase is not None:
+        a = elements[phase].a
+        if a is None or not math.isfinite(a):
+            raise MalformedPipeline("phase plate needs a finite shift, e.g. phase:0.3")
 
 
 def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
@@ -194,7 +215,7 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
     bs_seen = 0
     for e in elements:
         if e.kind == "source":
-            ket = plus_ket()
+            ket = _PLUS
             label = "source"
         elif e.kind == "bs":
             bs_seen += 1
@@ -204,11 +225,13 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
             ket = s0 @ ket
             label = "mirrors"
         elif e.kind == "phase":
-            ket = translation_op(e.a, k0) @ ket
+            # the same bits as translation_op(e.a, k0) @ ket: its zeros add nothing
+            ket = _translation_phases(e.a, k0) * ket
             label = f"phase({e.a:g})"
         else:
             label = "detector"
-        stages.append((label, ket.copy()))
+        # no copy: every stage makes a new ket and none is written in place
+        stages.append((label, ket))
 
     clicks = ClickDistribution(p_D1=float(abs(ket[0]) ** 2),
                                p_D2=float(abs(ket[1]) ** 2))

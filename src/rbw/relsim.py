@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import documents
@@ -49,8 +50,26 @@ class SpacetimeEvent:
     label: str = ""
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.x)):
-            raise ValueError(f"event coordinates must be finite: t={self.t}, x={self.x}")
+        _require_finite(self.t, self.x)
+
+
+def _require_finite(t: float, x: float) -> None:
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise ValueError(f"event coordinates must be finite: t={t}, x={x}")
+
+
+def _event(t: float, x: float, frame: str, label: str) -> SpacetimeEvent:
+    """SpacetimeEvent(t, x, frame, label) without the dataclass __init__:
+    the same finite check, then the fields written straight into the
+    instance dict.  The hot paths build every boosted event through it."""
+    _require_finite(t, x)
+    event = object.__new__(SpacetimeEvent)
+    fields = event.__dict__
+    fields["t"] = t
+    fields["x"] = x
+    fields["frame"] = frame
+    fields["label"] = label
+    return event
 
 
 @dataclass(frozen=True)
@@ -59,6 +78,10 @@ class Boost:
 
     v: float
     c: float = SPEED_OF_LIGHT
+    # derived once here, so that each boosted event costs no sqrt; kept out
+    # of ==, hash and repr
+    _gamma: float = field(init=False, repr=False, compare=False)
+    _c2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.c > 0) or not math.isfinite(self.c):
@@ -66,6 +89,9 @@ class Boost:
         if not math.isfinite(self.v) or abs(self.v) >= self.c:
             raise SuperluminalVelocity(
                 f"|v| = {abs(self.v)} km/s must be below c = {self.c} km/s")
+        beta = self.v / self.c
+        object.__setattr__(self, "_gamma", 1.0 / math.sqrt(1.0 - beta * beta))
+        object.__setattr__(self, "_c2", self.c * self.c)
 
     def inverse(self) -> "Boost":
         return Boost(v=-self.v, c=self.c)
@@ -102,8 +128,8 @@ class ScenarioReport:
 # --------------------------------------------------------------- kinematics
 
 def gamma(boost: Boost) -> float:
-    beta = boost.v / boost.c
-    return 1.0 / math.sqrt(1.0 - beta * beta)
+    """1 / sqrt(1 - (v/c)^2), computed once when the boost is made."""
+    return boost._gamma
 
 
 def _toggle_prime(frame: str) -> str:
@@ -119,11 +145,9 @@ def boost_event(event: SpacetimeEvent, boost: Boost,
     The frame label gains a prime (or loses one) unless an explicit
     target label is given.
     """
-    g = gamma(boost)
-    t2 = g * (event.t - boost.v * event.x / (boost.c * boost.c))
-    x2 = g * (event.x - boost.v * event.t)
+    g, v, t, x = boost._gamma, boost.v, event.t, event.x
     frame = _toggle_prime(event.frame) if target_frame is None else target_frame
-    return SpacetimeEvent(t=t2, x=x2, frame=frame, label=event.label)
+    return _event(g * (t - v * x / boost._c2), g * (x - v * t), frame, event.label)
 
 
 def weak_boost_transform(t: float, x: float, v: float,
@@ -156,8 +180,12 @@ def simultaneity_classes(events: Sequence[SpacetimeEvent], boost: Boost,
     (default 1e-12 s) fall in one class; classes come out ordered by
     time and hold the boosted events.
     """
-    _require_single_frame(events)
-    moved = sorted((boost_event(e, boost) for e in events), key=lambda e: e.t)
+    frame = _toggle_prime(_require_single_frame(events))
+    # boost_event's arithmetic, unrolled over the one frame
+    g, v, c2 = boost._gamma, boost.v, boost._c2
+    moved = [_event(g * (e.t - v * e.x / c2), g * (e.x - v * e.t), frame, e.label)
+             for e in events]
+    moved.sort(key=attrgetter("t"))
     classes: list[list[SpacetimeEvent]] = []
     for e in moved:
         if classes and abs(e.t - classes[-1][-1].t) <= tol:

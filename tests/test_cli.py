@@ -435,6 +435,24 @@ def test_group_check_honors_env_tolerance(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("subcommand", ["group-check", "mzi", "reconstruct", "selftest"])
+def test_bad_env_tolerance_fails_before_any_output(capsys, monkeypatch, tmp_path,
+                                                   subcommand, value):
+    argv = {
+        "group-check": ["--group", "builtin:s3"],
+        "mzi": ["--k0", "2", "--elements", "source,bs,mirrors,phase:0.3,bs,detector"],
+        "reconstruct": ["--group", "builtin:s3", "--irrep", "standard", "--expectations",
+                        str(_write_expectations(tmp_path, np.diag([0.75, 0.25])))],
+        "selftest": [],
+    }[subcommand]
+    monkeypatch.setenv("RBW_TOLERANCE", value)
+    code, out, err = run(capsys, subcommand, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: RBW_TOLERANCE"), err
+
+
 # ------------------------------------------------------------ reconstruct
 
 def _write_expectations(tmp_path, rho):

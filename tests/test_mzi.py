@@ -192,6 +192,36 @@ def test_malformed_pipelines(tokens, fragment):
         run_pipeline(elements(*tokens), K0)
 
 
+def test_bad_layout_raises_on_every_call():
+    # the layout check is cached on the element kinds; a raise is never cached
+    bad = elements("source", "mirrors", "bs", "detector")
+    for _ in range(3):
+        with pytest.raises(MalformedPipeline, match="after the first beam splitter"):
+            run_pipeline(bad, K0)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf, None])
+def test_bad_phase_raises_after_its_layout_is_cached(a):
+    layout = ("source", "bs", "mirrors", "phase", "bs", "detector")
+    run_pipeline(elements(*layout[:3], "phase:0.3", *layout[4:]), K0)
+    bad = [Element(kind, a if kind == "phase" else None) for kind in layout]
+    for _ in range(2):
+        with pytest.raises(MalformedPipeline, match="finite shift"):
+            run_pipeline(bad, K0)
+
+
+def test_shared_source_ket_is_read_only():
+    tokens = ("source", "bs", "mirrors", "phase:0.4", "bs", "detector")
+    first = run_pipeline(elements(*tokens), K0)
+    source = first.stages[0][1]
+    assert not source.flags.writeable
+    with pytest.raises(ValueError):
+        source[0] = 0.0
+    again = run_pipeline(elements(*tokens), K0)
+    assert np.array_equal(again.stages[0][1], plus_ket())
+    assert np.array_equal(again.ket, first.ket)
+
+
 def test_unknown_element_rejected():
     with pytest.raises(MalformedPipeline):
         run_pipeline([Element("source"), Element("prism"), Element("detector")], K0)

@@ -1,5 +1,6 @@
 """Boosts, simultaneity, and the five-observer scenario."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -72,6 +73,82 @@ def test_frame_label_toggles():
     e = ev(0.0, 1.0, frame="lab'")
     assert boost_event(e, Boost(v=1000.0)).frame == "lab"
     assert boost_event(e, Boost(v=1000.0), target_frame="girls").frame == "girls"
+
+
+def closed_form(e, v, c=C):
+    """T = gamma (t - v x / (c c)), X = gamma (x - v t), gamma = 1/sqrt(1 - (v/c)^2)."""
+    beta = v / c
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    return g * (e.t - v * e.x / (c * c)), g * (e.x - v * e.t)
+
+
+@pytest.mark.parametrize("seed,beta", enumerate([-0.99, -0.6, -1e-3, 0.0, 0.25, 0.6, 0.999999]))
+@pytest.mark.parametrize("c", [C, 1.0])
+def test_boosts_match_closed_form_bit_for_bit(seed, beta, c):
+    # gamma and c*c are stored on the Boost, and the per-event arithmetic
+    # keeps its order, so every coordinate has the closed form's bits
+    rng = np.random.default_rng(seed)
+    v = beta * c
+    b = Boost(v=v, c=c)
+    assert gamma(b) == 1.0 / math.sqrt(1.0 - (v / c) * (v / c))
+    events = [ev(float(rng.uniform(-10, 10)), float(rng.uniform(-1e6, 1e6)) * c / C,
+                 label=f"e{i}") for i in range(300)]
+    for e in events:
+        out = boost_event(e, b)
+        assert (out.t, out.x) == closed_form(e, v, c)
+        assert out.frame == "boys'" and out.label == e.label
+    members = [m for cls in simultaneity_classes(events, b) for m in cls.events]
+    by_label = {e.label: e for e in events}
+    assert [m.t for m in members] == sorted(m.t for m in members)
+    assert sorted(m.label for m in members) == sorted(by_label)
+    for m in members:
+        assert (m.t, m.x) == closed_form(by_label[m.label], v, c)
+        assert m.frame == "boys'"
+
+
+def test_simultaneity_classes_toggle_the_frame():
+    b = Boost(v=0.6 * C)
+    assert {m.frame for cls in simultaneity_classes([ev(0.0, 1.0, frame="girls'")], b)
+            for m in cls.events} == {"girls"}
+    assert simultaneity_classes([], b) == []
+
+
+@pytest.mark.parametrize("v", [-0.6 * C, 0.6 * C])
+def test_boosted_events_equal_public_constructor_events(v):
+    b = Boost(v=v)
+    e = ev(0.002, 1000.0, label="probe")
+    for out in (boost_event(e, b), boost_event(e, b, target_frame="girls"),
+                simultaneity_classes([e], b)[0].events[0]):
+        public = SpacetimeEvent(t=out.t, x=out.x, frame=out.frame, label=out.label)
+        assert out == public
+        assert hash(out) == hash(public)
+        assert repr(out) == repr(public)
+        assert type(out) is SpacetimeEvent
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.t = 0.0
+
+
+def test_overflowing_boost_raises_the_constructor_error():
+    # T and X overflow to inf and -inf, which the public constructor rejects too
+    e = ev(1e308, 0.0)
+    b = Boost(v=0.99 * C)
+    with pytest.raises(ValueError) as public:
+        SpacetimeEvent(t=math.inf, x=-math.inf)
+    for boost_it in (lambda: boost_event(e, b), lambda: simultaneity_classes([e], b)):
+        with pytest.raises(ValueError) as info:
+            boost_it()
+        assert str(info.value) == str(public.value) == (
+            "event coordinates must be finite: t=inf, x=-inf")
+
+
+@pytest.mark.parametrize("v", [0.0, -1234.5, 0.6 * C])
+def test_boost_equality_hash_and_repr_see_only_v_and_c(v):
+    assert Boost(v=v) == Boost(v=v)
+    assert hash(Boost(v=v)) == hash(Boost(v=v))
+    assert Boost(v=v) != Boost(v=v, c=2 * C)
+    assert repr(Boost(v=v)) == f"Boost(v={v!r}, c={C!r})"
+    assert dataclasses.replace(Boost(v=v), v=-v) == Boost(v=-v)
+    assert gamma(dataclasses.replace(Boost(v=v), v=-v)) == gamma(Boost(v=v))
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -325,19 +325,29 @@ def test_crossed_distribution_matches_direct(seed):
 
 def schur_outcomes(rho, u):
     """Reference split: scipy's complex Schur form, whose columns are
-    orthonormal and, for a unitary, eigenvectors, grouped by phase to 12
-    decimals with the +pi/-pi seam on the +pi side."""
+    orthonormal and, for a unitary, eigenvectors.  Phases, with the
+    +pi/-pi seam on the +pi side, are sorted and chained into one outcome
+    while neighbours are equal to 12 decimals or at most 1e-13 apart; when
+    the first and last phases are that close across the seam, the first
+    run joins the last.  Each outcome is labelled, like the library's, by
+    the first of its eigenvalues in LAPACK's order."""
     import scipy.linalg
     t, z = scipy.linalg.schur(u, output="complex")
-    merged = {}
-    for j in range(len(u)):
-        lam = complex(t[j, j])
-        phase = float(np.angle(lam))
-        if phase < -np.pi + 5e-13:
-            phase += 2 * np.pi
-        lam0, p0 = merged.get(round(phase, 12), (lam, 0.0))
-        merged[round(phase, 12)] = (lam0, p0 + float(np.real(z[:, j].conj() @ rho @ z[:, j])))
-    return [merged[k] for k in sorted(merged)]
+    n = len(u)
+    lams = [complex(t[j, j]) for j in range(n)]
+    probs = [float(np.real(z[:, j].conj() @ rho @ z[:, j])) for j in range(n)]
+    phases = [float(np.angle(lam)) for lam in lams]
+    phases = [ph + 2 * np.pi if ph < -np.pi + 5e-13 else ph for ph in phases]
+    order = sorted(range(n), key=phases.__getitem__)
+    runs = [[order[0]]]
+    for i, j in zip(order, order[1:]):
+        if phases[j] - phases[i] <= 1e-13 or round(phases[j], 12) == round(phases[i], 12):
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    if len(runs) > 1 and phases[order[0]] + 2 * np.pi - phases[order[-1]] <= 1e-13:
+        runs[-1] += runs.pop(0)
+    return [(lams[min(run)], sum(probs[j] for j in run)) for run in runs]
 
 
 def unitary_with_phases(phases, rng):
@@ -394,10 +404,11 @@ def test_outcomes_stay_a_distribution_on_a_rounding_boundary(seed):
     def mass(pairs):
         return sum(p for lam, p in pairs if abs(lam - np.exp(1j * phase)) < 1e-9)
 
-    assert mass(dist.pairs()) == pytest.approx(mass(schur_outcomes(rho, u)), abs=1e-12)
+    expected = schur_outcomes(rho, u)
+    assert mass(dist.pairs()) == pytest.approx(mass(expected), abs=1e-12)
     assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
     assert all(-1e-12 <= p <= 1 + 1e-12 for p in dist.probabilities)
-    assert len(dist.eigenvalues) == 2
+    assert len(dist.eigenvalues) == len(expected) == 2
 
 
 @pytest.mark.parametrize("center", [0.1234567890125, -np.pi + 5e-13],
