@@ -339,10 +339,11 @@ def verify_irrep(irrep: Irrep, tol: float | None = None) -> ValidationReport:
     # huge entries overflow into inf and NaN residuals, which fail below
     with np.errstate(over="ignore", invalid="ignore"):
         unit = float(np.max(np.abs(d @ d.conj().swapaxes(1, 2) - np.eye(n))))
-        homo = float(np.max(np.abs(d[:, None] @ d[None, :] - d[group.table])))
+        prod = d[:, None] @ d[None, :]          # [a, b] = D(a) D(b)
+        homo = float(np.max(np.abs(prod - d[group.table])))
         indicator = float(np.sum(np.abs(np.trace(d, axis1=1, axis2=2)) ** 2) / group.N)
         ortho = orthogonality_residual(irrep)
-        resol = float(np.max(np.abs(_resolve_all(irrep) - d)))
+        resol = float(np.max(np.abs(_resolve_all(irrep, prod) - d)))
 
     failures = []
     if not unit <= tol:
@@ -383,12 +384,20 @@ def orthogonality_residual(irrep: Irrep) -> float:
     return float(np.max(np.abs(lhs - target)))
 
 
-def _resolve_all(irrep: Irrep) -> np.ndarray:
-    """resolution_identity for every element, as an (N, n, n) stack."""
-    group = irrep.group
+def _resolve(irrep: Irrep, traces: np.ndarray) -> np.ndarray:
+    """(n/N) * sum_g traces[..., g] D(g): the resolution sum with the
+    traces tr{D(g^-1) D(gprime)} given along the last axis."""
     d = irrep.stacked()
-    traces = np.trace(d[group.inverse] @ d[:, None], axis1=2, axis2=3)   # [g', g]
-    return (traces[:, :, None, None] * d).sum(axis=1) * (irrep.n / group.N)
+    return (traces[..., None, None] * d).sum(axis=-3) * (irrep.n / irrep.group.N)
+
+
+def _resolve_all(irrep: Irrep, prod: np.ndarray) -> np.ndarray:
+    """resolution_identity for every element, as an (N, n, n) stack, with
+    the traces read from the products prod[a, b] = D(a) D(b)."""
+    traces = np.trace(prod[irrep.group.inverse], axis1=2, axis2=3)      # [g, g']
+    # [g', g] in C order: the layout fixes the order of the sum over g, so
+    # each row keeps resolution_identity's bits
+    return _resolve(irrep, np.ascontiguousarray(traces.T))
 
 
 def resolution_identity(irrep: Irrep, gprime: str) -> np.ndarray:
@@ -396,8 +405,12 @@ def resolution_identity(irrep: Irrep, gprime: str) -> np.ndarray:
 
         (n/N) * sum_g D(g) * tr{D(g^-1) D(gprime)}
 
-    which must reproduce D(gprime) for a unitary irrep.
+    which must reproduce D(gprime) for a unitary irrep.  It costs N
+    matrix products, one per g.
     """
-    if gprime not in irrep.group:
+    group = irrep.group
+    if gprime not in group:
         raise UnknownElement(gprime)
-    return _resolve_all(irrep)[irrep.group.index[gprime]]
+    d = irrep.stacked()
+    return _resolve(irrep, np.trace(d[group.inverse] @ d[group.index[gprime]],
+                                    axis1=1, axis2=2))

@@ -9,6 +9,7 @@ x = X = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -40,9 +41,12 @@ SPEED_OF_LIGHT = 300000.0          # km/s
 SIMULTANEITY_TOLERANCE = 1e-12     # seconds, absolute
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpacetimeEvent:
-    """A point event: time in seconds, position in kilometers."""
+    """A point event: time in seconds, position in kilometers.
+
+    Events are slotted, so they have no instance dict.
+    """
 
     t: float
     x: float
@@ -58,17 +62,23 @@ def _require_finite(t: float, x: float) -> None:
         raise ValueError(f"event coordinates must be finite: t={t}, x={x}")
 
 
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_t, _set_x, _set_frame, _set_label = (
+    getattr(SpacetimeEvent, name).__set__ for name in ("t", "x", "frame", "label"))
+_isfinite = math.isfinite
+
+
 def _event(t: float, x: float, frame: str, label: str) -> SpacetimeEvent:
     """SpacetimeEvent(t, x, frame, label) without the dataclass __init__:
-    the same finite check, then the fields written straight into the
-    instance dict.  The hot paths build every boosted event through it."""
-    _require_finite(t, x)
+    the same finite check, then the four slots written directly.  The hot
+    paths build every boosted event through it."""
+    if not (_isfinite(t) and _isfinite(x)):
+        _require_finite(t, x)        # raises, with the constructor's message
     event = object.__new__(SpacetimeEvent)
-    fields = event.__dict__
-    fields["t"] = t
-    fields["x"] = x
-    fields["frame"] = frame
-    fields["label"] = label
+    _set_t(event, t)
+    _set_x(event, x)
+    _set_frame(event, frame)
+    _set_label(event, label)
     return event
 
 
@@ -86,12 +96,13 @@ class Boost:
     def __post_init__(self):
         if not (self.c > 0) or not math.isfinite(self.c):
             raise ValueError(f"speed of light must be finite and positive, got {self.c}")
+        c2 = _light_speed_squared(self.c)
         if not math.isfinite(self.v) or abs(self.v) >= self.c:
             raise SuperluminalVelocity(
                 f"|v| = {abs(self.v)} km/s must be below c = {self.c} km/s")
         beta = self.v / self.c
         object.__setattr__(self, "_gamma", 1.0 / math.sqrt(1.0 - beta * beta))
-        object.__setattr__(self, "_c2", self.c * self.c)
+        object.__setattr__(self, "_c2", c2)
 
     def inverse(self) -> "Boost":
         return Boost(v=-self.v, c=self.c)
@@ -132,6 +143,15 @@ def gamma(boost: Boost) -> float:
     return boost._gamma
 
 
+def _light_speed_squared(c: float) -> float:
+    """c * c, refused when it underflows below the smallest normal float
+    (c below about 1.5e-154 km/s), where every boost would divide by 0."""
+    c2 = c * c
+    if c2 < sys.float_info.min:
+        raise ValueError(f"speed of light {c} is too small: c*c underflows to {c2}")
+    return c2
+
+
 def _toggle_prime(frame: str) -> str:
     return frame[:-1] if frame.endswith("'") else frame + "'"
 
@@ -146,8 +166,10 @@ def boost_event(event: SpacetimeEvent, boost: Boost,
     target label is given.
     """
     g, v, t, x = boost._gamma, boost.v, event.t, event.x
-    frame = _toggle_prime(event.frame) if target_frame is None else target_frame
-    return _event(g * (t - v * x / boost._c2), g * (x - v * t), frame, event.label)
+    if target_frame is None:
+        frame = event.frame
+        target_frame = frame[:-1] if frame.endswith("'") else frame + "'"
+    return _event(g * (t - v * x / boost._c2), g * (x - v * t), target_frame, event.label)
 
 
 def weak_boost_transform(t: float, x: float, v: float,
@@ -160,7 +182,7 @@ def weak_boost_transform(t: float, x: float, v: float,
     """
     if not (c > 0):
         raise ValueError(f"speed of light must be positive, got {c}")
-    shift = 0.0 if math.isinf(c) else v * x / (c * c)
+    shift = 0.0 if math.isinf(c) else v * x / _light_speed_squared(c)
     return t - shift, x - v * t
 
 

@@ -171,6 +171,16 @@ def test_boost_superluminal_rejected(capsys, v):
     assert "below c" in err
 
 
+@pytest.mark.parametrize("source", [("--t", "1", "--x", "1"), ("--events", "EVENTS")])
+def test_boost_light_speed_whose_square_underflows_fails_closed(capsys, tmp_path, source):
+    path = tmp_path / "events.json"
+    path.write_text(json.dumps({"events": [{"label": "a", "t": 1.0, "x": 1.0}]}))
+    argv = [str(path) if arg == "EVENTS" else arg for arg in source]
+    code, out, err = run(capsys, "boost", "--v", "0", "--c", "1e-200", *argv)
+    assert code == 1 and out == ""
+    assert err == "error: speed of light 1e-200 is too small: c*c underflows to 0.0\n"
+
+
 def test_boost_bad_velocity_token(capsys):
     code, _, err = run(capsys, "boost", "--v", "fast", "--t", "0", "--x", "1")
     assert code == 1

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rbw import catalog
+from rbw import catalog, grouprep
 from rbw.errors import (
     DimensionMismatch,
     MissingIdentity,
@@ -17,6 +17,7 @@ from rbw.errors import (
 )
 from rbw.grouprep import (
     Irrep,
+    _resolve_all,
     group_document,
     load_group,
     load_irrep,
@@ -419,6 +420,59 @@ def test_dihedral_irreps_match_the_loop_oracle(m, seed):
             worst = max(worst, np.max(np.abs(resolved - irr.matrix(g))))
         assert close(report.resolution_residual, worst)
         assert report.ok == (irr.name in irreps)
+
+
+def two_stack_resolve_all(irr):
+    """Every element's resolution sum from its own (N, N) stack of
+    D(g^-1) D(g') products, the table that verify_irrep once built apart
+    from the homomorphism stack."""
+    group, d = irr.group, irr.stacked()
+    traces = np.trace(d[group.inverse] @ d[:, None], axis1=2, axis2=3)   # [g', g]
+    return (traces[:, :, None, None] * d).sum(axis=1) * (irr.n / group.N)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def bit_test_variants(irreps, seed):
+    """broken_variants of every irrep, plus a copy with seeded noise in
+    every entry, whose sums round differently in every order."""
+    rng = np.random.default_rng(seed)
+    for base in irreps.values():
+        yield from broken_variants(base)
+        yield Irrep(group=base.group, n=base.n, name=f"{base.name}~",
+                    D={g: m + 1e-3 * (rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape))
+                       for g, m in base.D.items()})
+
+
+@pytest.mark.parametrize("m,seed", DIHEDRAL)
+def test_group_sums_keep_the_two_stack_bits(m, seed):
+    for irr in bit_test_variants(load_irreps(dihedral_document(m, seed)), seed):
+        group, d = irr.group, irr.stacked()
+        table = two_stack_resolve_all(irr)
+        prod = d[:, None] @ d[None, :]
+        assert np.array_equal(bits(_resolve_all(irr, prod)), bits(table))
+        for i, g in enumerate(group.elements):
+            assert np.array_equal(bits(resolution_identity(irr, g)), bits(table[i]))
+        report = verify_irrep(irr)
+        assert report.max_unitarity_residual == float(
+            np.max(np.abs(d @ d.conj().swapaxes(1, 2) - np.eye(irr.n))))
+        assert report.max_homomorphism_residual == float(
+            np.max(np.abs(d[:, None] @ d[None, :] - d[group.table])))
+        assert report.irreducibility_indicator == float(
+            np.sum(np.abs(np.trace(d, axis1=1, axis2=2)) ** 2) / group.N)
+        assert report.orthogonality_residual == orthogonality_residual(irr)
+        assert report.resolution_residual == float(np.max(np.abs(table - d)))
+
+
+def test_resolution_identity_never_builds_the_full_table(monkeypatch):
+    def full_table(*args, **kwargs):
+        raise AssertionError("resolution_identity built the N x N table")
+    monkeypatch.setattr(grouprep, "_resolve_all", full_table)
+    for irr in load_irreps(dihedral_document(8, 0)).values():
+        for g in irr.group.elements:
+            assert close(resolution_identity(irr, g), irr.matrix(g))
 
 
 @pytest.mark.parametrize("m,seed", DIHEDRAL)

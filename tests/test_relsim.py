@@ -1,7 +1,10 @@
 """Boosts, simultaneity, and the five-observer scenario."""
 
+import copy
 import dataclasses
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from rbw.relsim import (
     interval_class,
     load_events,
     simultaneity_classes,
+    weak_boost_transform,
 )
 
 C = SPEED_OF_LIGHT
@@ -126,6 +130,39 @@ def test_boosted_events_equal_public_constructor_events(v):
         assert type(out) is SpacetimeEvent
         with pytest.raises(dataclasses.FrozenInstanceError):
             out.t = 0.0
+
+
+def test_boosted_events_are_slotted():
+    e = ev(0.002, 1000.0, label="probe")
+    for out in (e, boost_event(e, Boost(v=0.6 * C)),
+                simultaneity_classes([e], Boost(v=0.6 * C))[0].events[0]):
+        assert not hasattr(out, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.label = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del out.x
+        for twin in (copy.copy(out), copy.deepcopy(out), pickle.loads(pickle.dumps(out))):
+            assert twin == out and hash(twin) == hash(out) and repr(twin) == repr(out)
+            assert type(twin) is SpacetimeEvent and not hasattr(twin, "__dict__")
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-155, 5e-324])
+def test_light_speed_whose_square_underflows_is_rejected(c):
+    # c * c below the smallest normal float would make every boost divide by 0
+    assert c * c < sys.float_info.min
+    with pytest.raises(ValueError, match="c\\*c underflows"):
+        Boost(v=0.0, c=c)
+    with pytest.raises(ValueError, match="c\\*c underflows"):
+        weak_boost_transform(1.0, 1.0, 0.0, c)
+
+
+def test_smallest_light_speeds_still_boost():
+    c = 2e-154
+    assert c * c >= sys.float_info.min
+    out = boost_event(ev(1.0, 1e-154), Boost(v=0.5 * c, c=c))
+    assert math.isfinite(out.t) and math.isfinite(out.x)
+    assert weak_boost_transform(1.0, 1e-154, 0.5 * c, c) == (1.0 - 0.5 * c * 1e-154 / (c * c),
+                                                             1e-154 - 0.5 * c)
 
 
 def test_overflowing_boost_raises_the_constructor_error():
