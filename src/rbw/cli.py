@@ -14,8 +14,8 @@ One subcommand per module operation family:
 Exit status: 0 success, 1 bad usage or invalid input, 2 a numerical
 contract was violated (residual over tolerance, failed check).
 
-Each subcommand imports the modules it uses when it runs, so `boost`
-and `scenario` start without numpy.
+Each subcommand imports the modules it uses when it runs, so `boost`,
+`scenario` and `contract` start without numpy.
 """
 
 from __future__ import annotations

@@ -94,9 +94,7 @@ class Boost:
     _c2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.c > 0) or not math.isfinite(self.c):
-            raise ValueError(f"speed of light must be finite and positive, got {self.c}")
-        c2 = _light_speed_squared(self.c)
+        c2 = _checked_light_speed_squared(self.c)
         if not math.isfinite(self.v) or abs(self.v) >= self.c:
             raise SuperluminalVelocity(
                 f"|v| = {abs(self.v)} km/s must be below c = {self.c} km/s")
@@ -150,6 +148,13 @@ def _light_speed_squared(c: float) -> float:
     if c2 < sys.float_info.min:
         raise ValueError(f"speed of light {c} is too small: c*c underflows to {c2}")
     return c2
+
+
+def _checked_light_speed_squared(c: float) -> float:
+    """c * c for a finite, positive light speed whose square does not underflow."""
+    if not (c > 0) or not math.isfinite(c):
+        raise ValueError(f"speed of light must be finite and positive, got {c}")
+    return _light_speed_squared(c)
 
 
 def _toggle_prime(frame: str) -> str:
@@ -221,12 +226,13 @@ def simultaneity_classes(events: Sequence[SpacetimeEvent], boost: Boost,
 
 def interval(e1: SpacetimeEvent, e2: SpacetimeEvent,
              c: float = SPEED_OF_LIGHT) -> float:
-    """Invariant c^2 dt^2 - dx^2 in km^2."""
+    """Invariant c^2 dt^2 - dx^2 in km^2; a square past the float range is
+    inf, and inf - inf is nan, never an OverflowError."""
     if e1.frame != e2.frame:
         raise MixedFrames(f"{e1.frame!r} vs {e2.frame!r}")
-    dt = e2.t - e1.t
-    dx = e2.x - e1.x
-    return (c * dt) ** 2 - dx ** 2
+    _checked_light_speed_squared(c)
+    ct, dx = c * (e2.t - e1.t), e2.x - e1.x
+    return ct * ct - dx * dx
 
 
 def interval_class(e1: SpacetimeEvent, e2: SpacetimeEvent,
@@ -235,10 +241,14 @@ def interval_class(e1: SpacetimeEvent, e2: SpacetimeEvent,
     """'timelike', 'spacelike' or 'null' by the sign of the invariant.
 
     Nullness is judged relative to the separation scale, so boosted
-    light rays stay null despite floating-point drift.
+    light rays stay null despite floating-point drift.  An invariant or
+    scale past the float range raises ValueError instead of being judged.
     """
     s = interval(e1, e2, c)
-    scale = (c * (e2.t - e1.t)) ** 2 + (e2.x - e1.x) ** 2
+    ct, dx = c * (e2.t - e1.t), e2.x - e1.x
+    scale = ct * ct + dx * dx
+    if not (math.isfinite(s) and math.isfinite(scale)):
+        raise ValueError(f"interval {s} km^2 over a scale of {scale} km^2 is not finite")
     if abs(s) <= resolve(tol) * max(scale, 1.0):
         return "null"
     return "timelike" if s > 0 else "spacelike"

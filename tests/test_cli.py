@@ -74,7 +74,8 @@ _RUN_CLI = "import rbw.cli\nassert rbw.cli.main(sys.argv[1:]) == 0"
     ("import rbw.cli", ()),
     (_RUN_CLI, ["boost", "--v", "0.6c", "--t", "0", "--x", "1000"]),
     (_RUN_CLI, ["scenario", "--json"]),
-], ids=["import-rbw", "import-rbw-cli", "boost", "scenario-json"])
+    (_RUN_CLI, ["contract", "--hbar", "3/4", "--m", "5/7", "--c", "7/3"]),
+], ids=["import-rbw", "import-rbw-cli", "boost", "scenario-json", "contract"])
 def test_start_loads_no_numpy(body, argv):
     assert _fresh_numpy_modules(body, argv) == "[]"
 
@@ -101,7 +102,7 @@ def test_every_export_resolves_to_its_home_module():
         getattr(rbw, "no_such_name")
 
 
-_NUMPY_FREE = {"relsim", "errors", "tolerance", "documents"}
+_NUMPY_FREE = {"relsim", "errors", "tolerance", "documents", "contraction"}
 
 
 def _imports(nodes):
@@ -121,8 +122,8 @@ def _imports(nodes):
 
 @pytest.mark.parametrize("module", sorted(_NUMPY_FREE) + ["cli"])
 def test_numpy_free_modules_import_no_numpy(module):
-    # relsim, errors, tolerance and documents anywhere, cli at module level: numpy
-    # only through a subcommand that needs it
+    # relsim, errors, tolerance and documents anywhere; contraction (numpy only for
+    # the dense `f` view) and cli at module level: numpy only where it is needed
     path = Path(rbw.__file__).with_name(f"{module}.py")
     for name, relative in _imports(ast.parse(path.read_text()).body):
         if relative:

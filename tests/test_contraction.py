@@ -1,7 +1,9 @@
 """Exact bracket tables, the c -> infinity limit, and the CCR."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +75,59 @@ def test_contract_guards_divergence():
         contract(table, 1, 1)
 
 
+def test_divergence_names_the_first_offender():
+    # [X,Y], [X,Z] and their negatives [Y,X], [Z,X] all diverge; the message
+    # names the first of them in (deg, a, b, c) order
+    table = user_table({("X", "Z", "T0", 0): (1, 0), ("X", "Y", "T0", 0): (0, 1)})
+    with pytest.raises(ValueError) as info:
+        contract(table, 1, 1)
+    assert str(info.value) == "[X,Y] diverges as eps -> 0 through its T0 term"
+
+
+def test_nested_list_and_array_inputs_agree():
+    f = np.zeros((2, 4, 4, 4, 2), dtype=np.int64)
+    f[0, 0, 1, 2] = (1, 0)          # [X,Y] = (1 + i eps) Z + 3 T0
+    f[1, 0, 1, 2] = (0, 1)
+    f[0, 0, 1, 3] = (3, 0)
+    f[0, 2, 3, 0] = (0, -2)         # [Z,T0] = -2i X
+    f = f - f.swapaxes(1, 2)
+    generators = ("X", "Y", "Z", "T0")
+    dense, nested = (BracketTable("user", generators, g) for g in (f, f.tolist()))
+    for x, y in itertools.product(generators, repeat=2):
+        assert nested.bracket(x, y) == dense.bracket(x, y)
+    for c in (None, 3):
+        assert format_table(nested, c=c) == format_table(dense, c=c)
+    assert jacobi_residual(nested) == jacobi_residual(dense)
+    assert jacobi_residual(dense).residual > 0
+    assert np.array_equal(nested.f, f) and np.array_equal(dense.f, f)
+
+
+@pytest.mark.parametrize("build", [
+    poincare_table, galilean_table, lambda: contract(poincare_table(), Fraction(3, 2), 2),
+    lambda: with_flipped_sign(poincare_table(), "T1", "K1"),
+], ids=["poincare", "galilean", "contracted", "flipped"])
+def test_dense_view_rebuilds_the_same_table(build):
+    table = build()
+    again = BracketTable(table.name, table.generators, table.f, table.scale)
+    assert again.generators == table.generators and again.scale == table.scale
+    for x, y in itertools.product(table.generators, repeat=2):
+        assert again.bracket(x, y) == table.bracket(x, y)
+    assert format_table(again) == format_table(table)
+    assert table.f.dtype == np.int64 and not table.f.flags.writeable
+    with pytest.raises(ValueError):
+        table.f[0, 0, 1, 2, 1] = 5
+
+
+def test_tables_copy_and_pickle():
+    table = contract(poincare_table(), Fraction(3, 2), 2)
+    assert not table.f.flags.writeable                 # the dense view is now cached
+    for twin in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert (twin.name, twin.generators, twin.scale) == (table.name, table.generators,
+                                                            table.scale)
+        assert format_table(twin) == format_table(table)
+        assert np.array_equal(twin.f, table.f) and not twin.f.flags.writeable
+
+
 @pytest.mark.parametrize("bad", ["1/0", "pi", 0, -1])
 def test_scales_must_be_positive_rationals(bad):
     table = poincare_table()
@@ -82,7 +137,7 @@ def test_scales_must_be_positive_rationals(bad):
             call()
 
 
-@pytest.mark.parametrize("entry", [2 ** 64 + 1, -(2 ** 70), 2 ** 40, 0.5, 1.0])
+@pytest.mark.parametrize("entry", [2 ** 64 + 1, -(2 ** 70), 2 ** 40, 0.5, 1.0, True])
 def test_entries_that_do_not_fit_exactly_raise(entry):
     f = [[[[[0, 0] for _ in range(3)] for _ in range(3)] for _ in range(3)]]
     f[0][0][1][2], f[0][1][0][2] = [entry, 0], [-entry, 0]

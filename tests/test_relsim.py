@@ -280,6 +280,44 @@ def test_interval_class_boost_invariant(seed):
         assert before == after
 
 
+def test_interval_past_the_float_range_is_inf_not_overflow_error():
+    # (c dt) ** 2 raised OverflowError here; the plain product overflows to inf
+    assert interval(ev(0, 0), ev(1, 1), c=1e200) == math.inf
+
+
+def test_interval_class_rejects_a_negative_light_speed():
+    # the square hid the sign: this was classified "timelike"
+    for call in (interval, interval_class):
+        with pytest.raises(ValueError, match="finite and positive, got -5"):
+            call(ev(0, 0), ev(1, 1), c=-5)
+
+
+def test_interval_class_rejects_a_zero_light_speed():
+    # this was classified "spacelike"
+    for call in (interval, interval_class):
+        with pytest.raises(ValueError, match="finite and positive, got 0"):
+            call(ev(0, 0), ev(1, 1), c=0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, 1e-160])
+def test_interval_rejects_the_light_speeds_boost_rejects(c):
+    with pytest.raises(ValueError) as boost:
+        Boost(v=0.0, c=c)
+    for call in (interval, interval_class):
+        with pytest.raises(ValueError) as info:
+            call(ev(0, 0), ev(1, 1), c=c)
+        assert str(info.value) == str(boost.value)
+
+
+@pytest.mark.parametrize("e1,e2,c", [
+    (ev(0, 0), ev(1, 1), 1e200),              # c dt overflows
+    (ev(0, -1e308), ev(0, 1e308), C),         # dx overflows; inf <= tol * inf read "null"
+], ids=["c-dt-overflow", "dx-overflow"])
+def test_interval_class_refuses_a_non_finite_invariant(e1, e2, c):
+    with pytest.raises(ValueError, match="not finite"):
+        interval_class(e1, e2, c=c)
+
+
 # ----------------------------------------------------------------- scenario
 
 def test_scenario_reference_numbers():
