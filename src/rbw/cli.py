@@ -14,8 +14,10 @@ One subcommand per module operation family:
 Exit status: 0 success, 1 bad usage or invalid input, 2 a numerical
 contract was violated (residual over tolerance, failed check).
 
-Each subcommand imports the modules it uses when it runs, so `boost`,
-`scenario` and `contract` start without numpy.
+Each subcommand imports the modules it uses when it runs.  `boost` and
+`scenario` run on the math-only `relsim` and `contract` on the exact
+`contraction`, so those three start without numpy.  The others load
+numpy; of them only `selftest` also loads `relsim`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import sys
 import warnings
 from fractions import Fraction
 
-# relsim is math-only, and the boost parser's --c default reads it
-from . import relsim
 from .errors import (
     InconsistentExpectations,
     MNotCentral,
@@ -253,8 +253,10 @@ def _print_boosted(out: relsim.SpacetimeEvent, boost: relsim.Boost,
 
 
 def cmd_boost(args) -> int:
-    velocity = parse_velocity(args.v, args.c)
-    boost = relsim.Boost(v=velocity, c=args.c)
+    from . import relsim
+    c = relsim.SPEED_OF_LIGHT if args.c is None else args.c
+    velocity = parse_velocity(args.v, c)
+    boost = relsim.Boost(v=velocity, c=c)
     if args.events:
         if args.t is not None or args.x is not None:
             raise UsageError("--events excludes --t/--x")
@@ -280,6 +282,7 @@ def cmd_boost(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    from . import relsim
     report = relsim.corealness_chain()
     p = args.precision
 
@@ -460,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transform events into a moving frame")
     b.add_argument("--v", required=True, metavar="V",
                    help="velocity in km/s, or with suffix c (e.g. 0.6c)")
-    b.add_argument("--c", type=float, default=relsim.SPEED_OF_LIGHT,
-                   metavar="C", help="light speed in km/s (default 300000)")
+    b.add_argument("--c", type=float, metavar="C",
+                   help="light speed in km/s (default 300000)")
     b.add_argument("--t", type=float, metavar="T", help="event time in s")
     b.add_argument("--x", type=float, metavar="X", help="event position in km")
     b.add_argument("--frame", default="lab", metavar="NAME")
@@ -512,7 +515,8 @@ def main(argv: list[str] | None = None) -> int:
     except (RBWError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
+        # MemoryError: a grid too large to allocate, e.g. rbw sweep --steps=10**15
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

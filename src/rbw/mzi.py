@@ -50,8 +50,14 @@ __all__ = [
 
 SWEEP_COLUMNS = ("a", "p_D1", "p_D2", "ReT", "ImT")
 
-# rows formatted per write: bounds the Python objects alive while streaming
-_CSV_CHUNK_ROWS = 4096
+# rows formatted per write: bounds the memory alive while streaming.  At
+# 4096 rows (160 KB per float temporary) the CSV stage ran about 1.5x
+# slower than at 2048 on a 2-vCPU x86-64 VM with numpy 2.4.
+_CSV_CHUNK_ROWS = 2048
+
+# write_sweep_csv's exact vectorized path: below 10^15 < 2^53 a scaled
+# value's spacing is at most 1/8, so its tie margin can hold
+_FAST_PRECISIONS = range(1, 16)
 
 
 @dataclass(frozen=True)
@@ -314,13 +320,135 @@ def sweep_rows(k0: float, phase_values: Iterable[float]) -> np.ndarray:
 
 
 def write_sweep_csv(rows, stream, precision: int = 12) -> None:
-    """Header plus one line per row, each value as %.{precision}g."""
-    rows = np.asarray(rows, dtype=float).reshape(-1, len(SWEEP_COLUMNS))
+    """Header plus one line per row, each value as %.{precision}g.
+
+    rows must be an (n, 5) array with columns SWEEP_COLUMNS.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(SWEEP_COLUMNS):
+        raise ValueError(
+            f"sweep rows must have shape (n, {len(SWEEP_COLUMNS)}), got {rows.shape}")
     line = ",".join([f"%.{precision}g"] * len(SWEEP_COLUMNS)) + "\n"
     stream.write(",".join(SWEEP_COLUMNS) + "\n")
     for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-        chunk = rows[start:start + _CSV_CHUNK_ROWS].tolist()
-        stream.write("".join([line % tuple(row) for row in chunk]))
+        chunk = rows[start:start + _CSV_CHUNK_ROWS]
+        if precision in _FAST_PRECISIONS:
+            stream.write(_render_chunk(chunk, precision))
+        else:
+            stream.write("".join([line % tuple(row) for row in chunk.tolist()]))
+
+
+# slots are assembled in little-endian words, whatever the machine's order
+_WORD = np.dtype("<u8")
+
+
+@functools.cache
+def _render_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables for _render_chunk, built on first use.
+
+    powers    10^0 .. 10^18 as exact floats
+    quads     the ASCII digits of 0..9999, zero-padded to four, as words
+    trailing  the trailing zero digits of 0..9999 written with four
+    keep      keep[k]: the lowest k of 16 bytes set, as two word columns
+    dots      dots[k]: "." in byte k-1 of 16 (none for k = 0), likewise
+    heads     separator, sign and "0.000" prefix, one word each, indexed
+              10 * (not first in row) + 5 * (negative) + leading zeros
+    """
+    powers = np.array([float(10 ** k) for k in range(19)])
+    v = np.arange(10000)[:, None]
+    quads = np.zeros((10000, 8), np.uint8)
+    quads[:, :4] = v // [1000, 100, 10, 1] % 10 + ord("0")
+    trailing = (v % [10, 100, 1000, 10000] == 0).sum(axis=1)
+    k = np.arange(17)[:, None]
+    keep = np.where(np.arange(16) < k, 0xFF, 0).astype(np.uint8)
+    dots = np.where(np.arange(16) == k - 1, ord("."), 0).astype(np.uint8)
+    heads = b"".join((sep + sign + zeros).ljust(8, b"\0")
+                     for sep in (b"\n", b",") for sign in (b"", b"-")
+                     for zeros in (b"", b"0.", b"0.0", b"0.00", b"0.000"))
+    return (powers, quads.view(_WORD)[:, 0], trailing,
+            keep.view(_WORD).T.copy(), dots.view(_WORD).T.copy(),
+            np.frombuffer(heads, _WORD))
+
+
+def _split(a: np.ndarray, base: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact quotient and remainder of whole floats below 2^53 by base =
+    10^k: a quotient that is not whole lies at least 10^-k from the next
+    integer, farther than its rounding error, so floor never rounds up."""
+    high = np.floor(a / base)
+    return high, a - high * base
+
+
+def _render_chunk(chunk: np.ndarray, p: int) -> str:
+    """The CSV lines of an (n, 5) chunk, each value exactly as `%.{p}g`
+    formats it, for p in _FAST_PRECISIONS.
+
+    A value x with decimal exponent e and 1e-4 <= |x| < 10^p prints in
+    fixed notation: the p digits of m = round(|x| 10^k), k = p-1-e, with
+    a point after digit e and trailing fractional zeros dropped.  10^k is
+    exact (k <= p+3 <= 18), so y = fl(|x| 10^k) is off by at most
+    spacing(y)/2, and m = rint(y) is certified when y lies farther than
+    spacing(10^p) >= spacing(y) from a half-integer, so that no tie can
+    round the other way.  10^(p-1) <= y and m < 10^p confirm the exponent
+    whatever log10 said; m alone would not, as log10 may round up to e+1
+    for an x just below 10^(e+1).  Every other value goes to Python's
+    formatter: about 0.3% of a sweep's at p = 12, a third at p = 15.
+
+    Each value fills a 24-byte slot: a word of separator, sign and "0."
+    prefix, then m's digits zero-padded to 16 bytes, with the point put
+    in by shifting the integer digits down one byte into the padding.
+    Unused bytes stay NUL and are dropped at the end.
+    """
+    powers, quads, trailing, keep, dots, heads = _render_tables()
+    x = chunk.reshape(-1)
+    ax = np.abs(x)
+    ok = (ax >= 1e-4) & (ax < powers[p])
+    scaled = np.where(ok, ax, 1.0)
+    e = np.clip(np.floor(np.log10(scaled)), -4, p - 1).astype(np.intp)
+    y = scaled * powers[p - 1 - e]
+    m = np.rint(y)
+    ok &= (y >= powers[p - 1]) & (m < powers[p])
+    ok &= np.abs(y - m) < 0.5 - np.spacing(powers[p])
+
+    # m's 16 zero-padded digits in four-digit groups, most significant first
+    groups = []
+    for part in _split(np.where(ok, m, powers[p - 1]), powers[8]):
+        groups += [g.astype(np.intp) for g in _split(part, powers[4])]
+    w1 = quads[groups[0]] | quads[groups[1]] << 32
+    w2 = quads[groups[2]] | quads[groups[3]] << 32
+
+    # m's last nonzero digit; a group of four zeros sends the count higher
+    zeros = trailing[groups[3]]
+    rest = np.flatnonzero(groups[3] == 0)
+    for group in groups[2::-1]:
+        digits = group[rest]
+        zeros[rest] += trailing[digits]
+        rest = rest[digits == 0]
+    last = p - 1 - zeros
+    # digit j sits in byte 16-p+j: drop the padding and trailing fraction zeros
+    end = 16 - p + np.maximum(e, last) + 1
+    w1 &= keep[0][end] ^ keep[0][16 - p]
+    w2 &= keep[1][end] ^ keep[1][16 - p]
+    # a point after digit e: bytes up to 16-p+e move down one, "." takes its place
+    at = np.where((e >= 0) & (e < last), 16 - p + e + 1, 0)
+    low1 = w1 & keep[0][at]
+    low2 = w2 & keep[1][at]
+    w1 ^= low1 ^ ((low1 >> 8) | (low2 << 56)) ^ dots[0][at]
+    w2 ^= low2 ^ (low2 >> 8) ^ dots[1][at]
+
+    slots = np.empty((x.size, 3), _WORD)
+    first = np.tile((0,) + (10,) * (chunk.shape[1] - 1), len(chunk))
+    slots[:, 0] = heads[first + 5 * (x < 0) + np.clip(-e, 0, 4)]
+    slots[:, 1] = w1
+    slots[:, 2] = w2
+    # byte 0 keeps the separator; the longest fallback, -1.23456789012345e-300, is p+7
+    raw = slots.view(np.uint8)
+    bad = np.flatnonzero(~ok)
+    fmt = f"%.{p}g"
+    texts = b"".join([(fmt % v).encode().ljust(raw.shape[1] - 1, b"\0")
+                      for v in x[bad].tolist()])
+    raw[bad, 1:] = np.frombuffer(texts, np.uint8).reshape(-1, raw.shape[1] - 1)
+    # the first separator is a newline that belongs after the last value
+    return (raw.tobytes().translate(None, b"\0")[1:] + b"\n").decode("ascii")
 
 
 # ---------------------------------------------------------------- documents

@@ -55,11 +55,12 @@ def test_import_loads_no_scipy():
 
 # ---------------------------------------------------------- lazy start-up
 
-def _fresh_numpy_modules(body, argv=()):
-    """Run body in a fresh interpreter; return the numpy modules it loaded."""
+def _fresh_modules(body, argv=(), package="numpy"):
+    """Run body in a fresh interpreter; return the modules of package it loaded."""
     src = Path(rbw.__file__).resolve().parents[1]
     code = (f"import sys\n{body}\n"
-            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'], file=sys.stderr)")
+            f"print([m for m in sys.modules if (m + '.').startswith({package + '.'!r})],"
+            " file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
@@ -77,13 +78,29 @@ _RUN_CLI = "import rbw.cli\nassert rbw.cli.main(sys.argv[1:]) == 0"
     (_RUN_CLI, ["contract", "--hbar", "3/4", "--m", "5/7", "--c", "7/3"]),
 ], ids=["import-rbw", "import-rbw-cli", "boost", "scenario-json", "contract"])
 def test_start_loads_no_numpy(body, argv):
-    assert _fresh_numpy_modules(body, argv) == "[]"
+    assert _fresh_modules(body, argv) == "[]"
 
 
 def test_numpy_probe_sees_a_numpy_subcommand():
     # control: the probe above would notice numpy if a subcommand loaded it
     argv = ["mzi", "--k0", "2", "--elements", "source,bs,detector"]
-    assert "'numpy'" in _fresh_numpy_modules(_RUN_CLI, argv)
+    assert "'numpy'" in _fresh_modules(_RUN_CLI, argv)
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["sweep", "--k0=2", "--a-min=0", "--a-max=1", "--steps=5"], False),
+    (["mzi", "--k0", "2", "--elements", "source,bs,detector"], False),
+    (["group-check", "--group", "builtin:s3"], False),
+    (["reconstruct", "--group", "builtin:s3", "--irrep", "standard", "--expectations"], False),
+    (["contract"], False),
+    (["boost", "--v", "0.6c", "--t", "0", "--x", "1000"], True),
+    (["scenario"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_only_boost_and_scenario_load_relsim(tmp_path, argv, loads):
+    if argv[0] == "reconstruct":
+        argv = argv + [str(_write_expectations(tmp_path, np.diag([0.75, 0.25])))]
+    loaded = _fresh_modules(_RUN_CLI, argv, package="rbw.relsim")
+    assert loaded == ("['rbw.relsim']" if loads else "[]")
 
 
 def test_every_export_resolves_to_its_home_module():
@@ -105,9 +122,13 @@ def test_every_export_resolves_to_its_home_module():
 _NUMPY_FREE = {"relsim", "errors", "tolerance", "documents", "contraction"}
 
 
-def _imports(nodes):
+# numpy nowhere, not even inside a function
+_NUMPY_NOWHERE = {"relsim", "errors", "tolerance", "documents"}
+
+
+def _imports(nodes, functions):
     """(module, relative) for every import among nodes and their children,
-    skipping function bodies."""
+    entering function bodies only when functions is true."""
     for node in nodes:
         if isinstance(node, ast.Import):
             yield from ((alias.name, False) for alias in node.names)
@@ -116,8 +137,8 @@ def _imports(nodes):
                 yield from ((alias.name, True) for alias in node.names)
             else:
                 yield node.module, bool(node.level)
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _imports(ast.iter_child_nodes(node))
+        elif functions or not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports(ast.iter_child_nodes(node), functions)
 
 
 @pytest.mark.parametrize("module", sorted(_NUMPY_FREE) + ["cli"])
@@ -125,7 +146,8 @@ def test_numpy_free_modules_import_no_numpy(module):
     # relsim, errors, tolerance and documents anywhere; contraction (numpy only for
     # the dense `f` view) and cli at module level: numpy only where it is needed
     path = Path(rbw.__file__).with_name(f"{module}.py")
-    for name, relative in _imports(ast.parse(path.read_text()).body):
+    for name, relative in _imports(ast.parse(path.read_text()).body,
+                                   module in _NUMPY_NOWHERE):
         if relative:
             assert name.split(".")[0] in _NUMPY_FREE, (module, name)
         else:
@@ -144,6 +166,20 @@ def test_boost_reference_line(capsys):
     code, out, _ = run(capsys, "boost", "--v", "0.6c", "--t", "0", "--x", "1000")
     assert code == 0
     assert out == "T=-0.0025 s, X=1250 km\n"
+
+
+def test_boost_explicit_light_speed_matches_the_default(capsys):
+    code, out, _ = run(capsys, "boost", "--v", "0.6c", "--t", "0", "--x", "1000",
+                       "--c", "300000")
+    assert code == 0
+    assert out == "T=-0.0025 s, X=1250 km\n"
+
+
+def test_boost_help_names_the_default_light_speed(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["boost", "--help"])
+    assert info.value.code == 0
+    assert "light speed in km/s (default 300000)" in capsys.readouterr().out
 
 
 def test_boost_zero_slice_line(capsys):
@@ -299,6 +335,17 @@ def test_sweep_rejects_bad_grid(capsys, bad):
 def test_sweep_non_finite_rows_exit_1(capsys, a_max):
     code, out, err = run(capsys, "sweep", "--k0=2", "--a-min=0",
                          f"--a-max={a_max}", "--steps=3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_grid_too_large_to_allocate_is_one_error_line(capsys):
+    # 10**15 float64 points are 7.1 PiB, past any machine's memory and the
+    # default 47-bit user address space, so the allocation fails at once
+    # without touching memory
+    code, out, err = run(capsys, "sweep", "--k0=1", "--a-min=0", "--a-max=1",
+                         "--steps=1000000000000000")
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

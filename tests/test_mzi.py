@@ -439,6 +439,70 @@ def test_sweep_csv_streams_in_chunks(monkeypatch):
     assert buf.getvalue() == want
 
 
+@pytest.mark.parametrize("shape", [(3, 10), (10,), (5,), (2, 5, 1), (4, 4), (0,)])
+def test_sweep_csv_rejects_a_wrong_row_shape(shape):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="shape"):
+        write_sweep_csv(np.zeros(shape), buf)
+    assert buf.getvalue() == ""
+
+
+def test_sweep_csv_of_no_rows_is_the_header():
+    buf = io.StringIO()
+    write_sweep_csv(np.empty((0, 5)), buf)
+    assert buf.getvalue() == "a,p_D1,p_D2,ReT,ImT\n"
+
+
+CSV_PRECISIONS = list(range(1, 18)) + [40]
+
+
+def reference_csv(rows, precision):
+    """write_sweep_csv's bytes, one Python format call per value."""
+    return "a,p_D1,p_D2,ReT,ImT\n" + "".join(
+        ",".join(f"{v:.{precision}g}" for v in row) + "\n" for row in rows.tolist())
+
+
+def adversarial_values():
+    tiny = 1e-4
+    values = [
+        0.5, 2.5, 0.125, 0.375, 123456789012.5, 1234567890123.5,   # decimal ties
+        9.9999999999995, 9.5, 99.5, 0.000995, 0.00099999999999995,
+        999999999999.5, 99999999999999.9, 0.99999999999999989,   # exponent round-ups
+        tiny, np.nextafter(tiny, 0), np.nextafter(tiny, 1),
+        np.nextafter(np.nextafter(tiny, 0), 0), 9.99999999999995e-05,
+        0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1.7976931348623157e308,
+        5e-324, 2.2250738585072014e-308, 1e-310, 1 / 3, 2 / 3, np.pi, 0.1, 0.3,
+    ]
+    for k in range(-6, 19):
+        power = 10.0 ** k
+        values += [power, np.nextafter(power, 0), np.nextafter(power, np.inf)]
+    values += [-v for v in values]
+    values += [0.0] * (-len(values) % 5)
+    return np.array(values).reshape(-1, 5)
+
+
+@pytest.mark.parametrize("precision", CSV_PRECISIONS)
+def test_sweep_csv_is_exactly_percent_g_on_adversarial_values(precision):
+    rows = adversarial_values()
+    buf = io.StringIO()
+    write_sweep_csv(rows, buf, precision)
+    assert buf.getvalue() == reference_csv(rows, precision)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sweep_csv_is_exactly_percent_g_on_seeded_sweeps(seed):
+    rng = np.random.default_rng(seed)
+    a_min = rng.uniform(-1.0, 1.0)
+    grid = np.linspace(a_min, a_min + rng.uniform(0.5, 3.0), int(rng.integers(50, 400)))
+    rows = sweep_rows(rng.uniform(0.5, 10.0), grid)
+    precision = CSV_PRECISIONS[seed % len(CSV_PRECISIONS)]
+    # a Fortran-ordered copy must come out in the same row order
+    for layout in (rows, np.asfortranarray(rows)):
+        buf = io.StringIO()
+        write_sweep_csv(layout, buf, precision)
+        assert buf.getvalue() == reference_csv(rows, precision)
+
+
 # ---------------------------------------------------------------- documents
 
 def test_pipeline_document_roundtrip():
