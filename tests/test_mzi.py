@@ -348,6 +348,19 @@ def test_sample_clicks_rejects_counts_outside_int64(shots):
         sample_clicks(ClickDistribution(0.5, 0.5), shots)
 
 
+@pytest.mark.parametrize("seed", [-1, -2 ** 70, 0.5, "7", None])
+def test_sample_clicks_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+        sample_clicks(ClickDistribution(0.5, 0.5), 10, seed)
+
+
+@pytest.mark.parametrize("seed", [10 ** 29, 2 ** 64, np.int64(5)])
+def test_sample_clicks_takes_any_non_negative_integer_seed(seed):
+    first = sample_clicks(ClickDistribution(0.5, 0.5), 1000, seed)
+    assert first == sample_clicks(ClickDistribution(0.5, 0.5), 1000, seed)
+    assert sum(first) == 1000
+
+
 def test_sweep_rows_frozen_point():
     a = np.pi / (3 * K0)   # k0 a = pi/3
     ((got_a, p1, p2, re_t, im_t),) = sweep_rows(K0, [a])
@@ -400,6 +413,29 @@ def test_sweep_rows_do_not_loop_over_pipelines(monkeypatch):
     monkeypatch.setattr(mzi, "expectation_T", per_point)
     rows = mzi.sweep_rows(K0, np.linspace(-1.0, 1.0, 1000))
     assert rows.shape == (1000, 5)
+
+
+def test_sweep_rows_read_any_one_dimensional_input_bit_for_bit(monkeypatch):
+    grid = np.linspace(-1.5, 2.5, 301)
+    want = sweep_rows(K0, grid)
+    assert np.array_equal(sweep_rows(K0, (a for a in grid.tolist())), want)
+    assert np.array_equal(sweep_rows(K0, iter(grid)), want)
+
+    def walked(*args, **kwargs):
+        raise AssertionError("an array or a sequence was walked element by element")
+    monkeypatch.setattr(np, "fromiter", walked)
+    for same in (grid.tolist(), tuple(grid.tolist()), np.repeat(grid, 2)[::2]):
+        assert np.array_equal(sweep_rows(K0, same), want)
+        assert np.array_equal(density_from_sweep(K0, same), density_from_sweep(K0, grid))
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 2)), [[0.0, 1.0]], np.array(0.5), 0.5,
+                                 np.float64(0.5)])
+def test_sweep_rejects_phases_that_are_not_one_dimensional(bad):
+    with pytest.raises((ValueError, TypeError)):
+        sweep_rows(K0, bad)
+    with pytest.raises((ValueError, TypeError)):
+        density_from_sweep(K0, bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -15,6 +15,7 @@ from rbw.errors import (
     NotUnitary,
 )
 from rbw.symmetry_state import (
+    _GAP_PER_RESIDUAL,
     ExpectationSet,
     density_document,
     eigendecompose,
@@ -203,6 +204,17 @@ def test_eigendecompose_deterministic_under_degeneracy():
         assert np.array_equal(k1, k2)
 
 
+@pytest.mark.parametrize("first,second", [(-1e-15, 1e-15), (1e-15, -1e-15)])
+def test_eigendecompose_weights_within_round_off_are_one_degenerate_weight(first, second):
+    # weights 2e-15 apart across a 12-decimal rounding boundary are one
+    # degenerate weight, whose kets come in lexicographic order either way
+    w = 0.1234567890125
+    pairs = eigendecompose(np.diag([w + first, w + second, 1 - 2 * w]))
+    assert [weight for weight, _ in pairs][1:] == pytest.approx([w, w], abs=1e-14)
+    assert np.array_equal(pairs[1][1], [0, 1, 0])
+    assert np.array_equal(pairs[2][1], [1, 0, 0])
+
+
 # ------------------------------------------------------------ distributions
 
 def test_outcomes_projector_vs_sign_operator():
@@ -325,27 +337,30 @@ def test_crossed_distribution_matches_direct(seed):
 
 def schur_outcomes(rho, u):
     """Reference split: scipy's complex Schur form, whose columns are
-    orthonormal and, for a unitary, eigenvectors.  Phases, with the
-    +pi/-pi seam on the +pi side, are sorted and chained into one outcome
-    while neighbours are equal to 12 decimals or at most 1e-13 apart; when
-    the first and last phases are that close across the seam, the first
-    run joins the last.  Each outcome is labelled, like the library's, by
-    the first of its eigenvalues in LAPACK's order."""
+    orthonormal and, for a unitary, eigenvectors.  The one gap is
+    max(1e-13, C r), with r = max|u u^dag - I| measured here.  Phases, a
+    phase within the gap of -pi moved to the +pi side, are sorted and
+    chained into one outcome while neighbours are at most the gap apart;
+    when the first and last phases are that close across the seam, the
+    first run joins the last.  Each outcome is labelled, like the
+    library's, by the first of its eigenvalues in LAPACK's order."""
     import scipy.linalg
     t, z = scipy.linalg.schur(u, output="complex")
     n = len(u)
+    r = float(np.abs(u @ u.conj().T - np.eye(n)).max())
+    gap = max(1e-13, _GAP_PER_RESIDUAL * r)
     lams = [complex(t[j, j]) for j in range(n)]
     probs = [float(np.real(z[:, j].conj() @ rho @ z[:, j])) for j in range(n)]
     phases = [float(np.angle(lam)) for lam in lams]
-    phases = [ph + 2 * np.pi if ph < -np.pi + 5e-13 else ph for ph in phases]
+    phases = [ph + 2 * np.pi if ph <= -np.pi + gap else ph for ph in phases]
     order = sorted(range(n), key=phases.__getitem__)
     runs = [[order[0]]]
     for i, j in zip(order, order[1:]):
-        if phases[j] - phases[i] <= 1e-13 or round(phases[j], 12) == round(phases[i], 12):
+        if phases[j] - phases[i] <= gap:
             runs[-1].append(j)
         else:
             runs.append([j])
-    if len(runs) > 1 and phases[order[0]] + 2 * np.pi - phases[order[-1]] <= 1e-13:
+    if len(runs) > 1 and phases[order[0]] + 2 * np.pi - phases[order[-1]] <= gap:
         runs[-1] += runs.pop(0)
     return [(lams[min(run)], sum(probs[j] for j in run)) for run in runs]
 
@@ -372,7 +387,7 @@ def close_phases(rng, n):
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("spectrum", [repeated_phases, seam_phases, close_phases])
-@pytest.mark.parametrize("noise", [0.0, 1e-11])
+@pytest.mark.parametrize("noise", [0.0, 1e-12, 1e-11])
 def test_outcomes_match_schur_oracle(spectrum, noise, seed):
     # noise 1e-11 leaves U unitary only to within the default tolerance, which
     # splits a repeated eigenvalue into close ones with skewed eig columns
@@ -390,38 +405,84 @@ def test_outcomes_match_schur_oracle(spectrum, noise, seed):
     assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
 
 
+def mass_at(pairs, phase):
+    return sum(p for lam, p in pairs if abs(lam - np.exp(1j * phase)) < 1e-9)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_outcomes_stay_a_distribution_on_a_rounding_boundary(seed):
-    # the phase sits next to a 12-decimal rounding boundary, so eig's two
-    # phases for the one eigenvalue often round apart into two outcomes;
-    # those must still be halves of one orthonormal split
+    # the phase sits on a 12-decimal rounding boundary, which eig's two
+    # phases for the one eigenvalue often straddle; they are still one
+    # outcome, carrying the mass of the oracle's
     rng = np.random.default_rng(seed)
     phase = 0.1234567890125
     u = unitary_with_phases([phase, phase, 2.0], rng)
     rho = random_state(3, rng)
     dist = outcome_probabilities(rho, u)
-
-    def mass(pairs):
-        return sum(p for lam, p in pairs if abs(lam - np.exp(1j * phase)) < 1e-9)
-
     expected = schur_outcomes(rho, u)
-    assert mass(dist.pairs()) == pytest.approx(mass(expected), abs=1e-12)
+    assert mass_at(dist.pairs(), phase) == pytest.approx(mass_at(expected, phase), abs=1e-12)
     assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
     assert all(-1e-12 <= p <= 1 + 1e-12 for p in dist.probabilities)
     assert len(dist.eigenvalues) == len(expected) == 2
 
 
-@pytest.mark.parametrize("center", [0.1234567890125, -np.pi + 5e-13],
+@pytest.mark.parametrize("center", [0.1234567890125, -np.pi + 1e-13],
                          ids=["rounding-boundary", "seam-shift-edge"])
 def test_phases_within_round_off_are_one_outcome(center):
     # two eigenphases 2e-15 apart, on either side of a 12-decimal rounding
-    # boundary or of the edge where -pi phases move to +pi, are one outcome
+    # boundary or of the edge where -pi phases move to +pi (the 1e-13 gap of
+    # an exactly unitary U), are one outcome
     u = np.diag(np.exp(1j * np.array([center - 1e-15, center + 1e-15, 2.0])))
     rho = random_state(3, np.random.default_rng(0))
     dist = outcome_probabilities(rho, u)
     assert len(dist.eigenvalues) == 2
     merged, = (p for lam, p in dist.pairs() if abs(lam - np.exp(1j * center)) < 1e-9)
     assert merged == pytest.approx((rho[0, 0] + rho[1, 1]).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("theta", [0.1234567890125, 0.123456789012],
+                         ids=["rounding-boundary", "bin-centre"])
+@pytest.mark.parametrize("noise", [1e-13, 1e-12, 1e-11])
+def test_noisy_degenerate_phase_is_one_outcome(noise, theta, seed):
+    # noise within the unitarity tolerance spreads eig's two phases for the
+    # one eigenvalue by about U's residual r, further than 1e-13 and across
+    # 12-decimal boundaries; the gap of 3 r still makes them one outcome
+    rng = np.random.default_rng(seed)
+    u = unitary_with_phases([theta, theta, 2.0], rng)
+    u = u + noise * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rho = random_state(3, rng)
+    dist = outcome_probabilities(rho, u)
+    assert len(dist.eigenvalues) == 2
+    assert mass_at(dist.pairs(), theta) == pytest.approx(
+        mass_at(schur_outcomes(rho, u), theta), abs=1e-12)
+
+
+@pytest.mark.parametrize("excess", [1e-12, 1e-11, 3e-11])
+@pytest.mark.parametrize("factor,outcomes", [(2.0, 3), (0.5, 2)], ids=["apart", "closer"])
+def test_resolution_limit_is_the_gap(excess, factor, outcomes):
+    # U = V diag((1 + excess) e^{i}, e^{i(1 + delta)}, e^{2i}) V^dag is normal,
+    # with a unitarity residual r set by excess: phases further apart than
+    # C r are two outcomes, closer ones one
+    v = random_unitary(3, np.random.default_rng(7))
+
+    def u_with(delta):
+        d = np.exp(1j * np.array([1.0, 1.0 + delta, 2.0])) * [1 + excess, 1.0, 1.0]
+        return v @ np.diag(d) @ v.conj().T
+
+    def residual(u):
+        return float(np.abs(u @ u.conj().T - np.eye(3)).max())
+
+    r = residual(u_with(0.0))
+    assert _GAP_PER_RESIDUAL * r > 1e-13        # the gap is C r, not its floor
+    u = u_with(factor * _GAP_PER_RESIDUAL * r)
+    assert residual(u) == pytest.approx(r, rel=1e-3)
+    rho = random_state(3, np.random.default_rng(8))
+    dist = outcome_probabilities(rho, u)
+    assert len(dist.eigenvalues) == len(schur_outcomes(rho, u)) == outcomes
+    pair = v[:, :2]
+    assert mass_at(dist.pairs(), 1.0) == pytest.approx(
+        np.trace(pair.conj().T @ rho @ pair).real, abs=1e-9)
 
 
 # ---------------------------------------------------------------- documents
