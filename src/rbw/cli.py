@@ -27,7 +27,6 @@ import json
 import math
 import sys
 import warnings
-from fractions import Fraction
 
 from .errors import (
     InconsistentExpectations,
@@ -134,7 +133,10 @@ def parse_velocity(text: str, c: float) -> float:
         raise UsageError(f"bad velocity {text!r}") from None
 
 
-def _fraction(text: str, flag: str) -> Fraction:
+def _fraction(text: str, flag: str):
+    """text as an exact Fraction; only `contract` reads rationals, so only
+    it imports fractions (and, through it, decimal)."""
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

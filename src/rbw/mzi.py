@@ -111,20 +111,38 @@ def _translation_phases(a: float, k0: float) -> np.ndarray:
     return np.array([np.exp(-1j * k0 * a), np.exp(1j * k0 * a)])
 
 
+def _require_finite_phase(a: float, k0: float, factor: float = 1.0) -> None:
+    """Refuse a shift whose phase factor * k0 * a is NaN or infinite, by a
+    non-finite a or an overflowing product: its operator would be NaN."""
+    if not math.isfinite(factor * k0 * a):
+        raise ValueError(f"phase shift a = {a} at wave number k0 = {k0} "
+                         "gives a non-finite phase")
+
+
 def translation_op(a: float, k0: float) -> np.ndarray:
     k0 = _require_wavenumber(k0)
+    _require_finite_phase(a, k0)
     return np.diag(_translation_phases(a, k0))
+
+
+def _reflection(a: float, k0: float) -> np.ndarray:
+    """S(a) for a validated k0.  The pipeline builds its operators through
+    this unchecked form: at k0 near the float limit S(0) and Q come out
+    NaN, and the pipeline's final norm check refuses the ket."""
+    return np.array([[0.0, np.exp(-2j * k0 * a)],
+                     [np.exp(2j * k0 * a), 0.0]])
 
 
 def reflection_op(a: float, k0: float) -> np.ndarray:
     k0 = _require_wavenumber(k0)
-    return np.array([[0.0, np.exp(-2j * k0 * a)],
-                     [np.exp(2j * k0 * a), 0.0]])
+    _require_finite_phase(a, k0, 2.0)
+    return _reflection(a, k0)
 
 
 def reflection_eigenkets(a: float, k0: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenkets of S(a) for eigenvalues +1 and -1, in that order."""
     k0 = _require_wavenumber(k0)
+    _require_finite_phase(a, k0)
     up = np.exp(-1j * k0 * a) / np.sqrt(2)
     dn = np.exp(1j * k0 * a) / np.sqrt(2)
     return np.array([up, dn]), np.array([up, -dn])
@@ -136,7 +154,7 @@ def beam_splitter_op(k0: float) -> np.ndarray:
     [[1, -1], [1, 1]]/sqrt(2)."""
     k0 = _require_wavenumber(k0)
     a0 = np.pi / (4 * k0)
-    return (np.eye(2) - 1j * reflection_op(a0, k0)) / np.sqrt(2)
+    return (np.eye(2) - 1j * _reflection(a0, k0)) / np.sqrt(2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -144,7 +162,7 @@ def _operators(k0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q, Q^dagger and S(0) for a validated wave number, built once and
     frozen so that every caller can share them."""
     q = beam_splitter_op(k0)
-    ops = (q, q.conj().T, reflection_op(0.0, k0))
+    ops = (q, q.conj().T, _reflection(0.0, k0))
     for op in ops:
         op.setflags(write=False)
     return ops

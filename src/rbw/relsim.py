@@ -68,20 +68,6 @@ _set_t, _set_x, _set_frame, _set_label = (
 _isfinite = math.isfinite
 
 
-def _event(t: float, x: float, frame: str, label: str) -> SpacetimeEvent:
-    """SpacetimeEvent(t, x, frame, label) without the dataclass __init__:
-    the same finite check, then the four slots written directly.  The hot
-    paths build every boosted event through it."""
-    if not (_isfinite(t) and _isfinite(x)):
-        _require_finite(t, x)        # raises, with the constructor's message
-    event = object.__new__(SpacetimeEvent)
-    _set_t(event, t)
-    _set_x(event, x)
-    _set_frame(event, frame)
-    _set_label(event, label)
-    return event
-
-
 @dataclass(frozen=True)
 class Boost:
     """Relative velocity of the primed frame along +x, in km/s."""
@@ -141,20 +127,16 @@ def gamma(boost: Boost) -> float:
     return boost._gamma
 
 
-def _light_speed_squared(c: float) -> float:
-    """c * c, refused when it underflows below the smallest normal float
-    (c below about 1.5e-154 km/s), where every boost would divide by 0."""
+def _checked_light_speed_squared(c: float) -> float:
+    """c * c for a finite, positive light speed, refused when the square
+    underflows below the smallest normal float (c below about 1.5e-154
+    km/s), where every boost would divide by 0."""
+    if not (c > 0) or not math.isfinite(c):
+        raise ValueError(f"speed of light must be finite and positive, got {c}")
     c2 = c * c
     if c2 < sys.float_info.min:
         raise ValueError(f"speed of light {c} is too small: c*c underflows to {c2}")
     return c2
-
-
-def _checked_light_speed_squared(c: float) -> float:
-    """c * c for a finite, positive light speed whose square does not underflow."""
-    if not (c > 0) or not math.isfinite(c):
-        raise ValueError(f"speed of light must be finite and positive, got {c}")
-    return _light_speed_squared(c)
 
 
 def _toggle_prime(frame: str) -> str:
@@ -168,13 +150,20 @@ def boost_event(event: SpacetimeEvent, boost: Boost,
         T = gamma (t - v x / c^2)        X = gamma (x - v t)
 
     The frame label gains a prime (or loses one) unless an explicit
-    target label is given.
+    target label is given.  The event is built without the dataclass
+    __init__: the constructor's finite check, then the four slots written
+    directly.
     """
     g, v, t, x = boost._gamma, boost.v, event.t, event.x
-    if target_frame is None:
-        frame = event.frame
-        target_frame = frame[:-1] if frame.endswith("'") else frame + "'"
-    return _event(g * (t - v * x / boost._c2), g * (x - v * t), target_frame, event.label)
+    t, x = g * (t - v * x / boost._c2), g * (x - v * t)
+    if not (_isfinite(t) and _isfinite(x)):
+        _require_finite(t, x)        # raises, with the constructor's message
+    out = object.__new__(SpacetimeEvent)
+    _set_t(out, t)
+    _set_x(out, x)
+    _set_frame(out, _toggle_prime(event.frame) if target_frame is None else target_frame)
+    _set_label(out, event.label)
+    return out
 
 
 def weak_boost_transform(t: float, x: float, v: float,
@@ -185,9 +174,7 @@ def weak_boost_transform(t: float, x: float, v: float,
     finite c the mixing of x into T is what survives into the
     contracted bracket between T and K.
     """
-    if not (c > 0):
-        raise ValueError(f"speed of light must be positive, got {c}")
-    shift = 0.0 if math.isinf(c) else v * x / _light_speed_squared(c)
+    shift = 0.0 if c == math.inf else v * x / _checked_light_speed_squared(c)
     return t - shift, x - v * t
 
 
@@ -207,11 +194,10 @@ def simultaneity_classes(events: Sequence[SpacetimeEvent], boost: Boost,
     (default 1e-12 s) fall in one class; classes come out ordered by
     time and hold the boosted events.
     """
+    if not (0 <= tol < math.inf):
+        raise ValueError(f"simultaneity tolerance must be finite and >= 0, got {tol}")
     frame = _toggle_prime(_require_single_frame(events))
-    # boost_event's arithmetic, unrolled over the one frame
-    g, v, c2 = boost._gamma, boost.v, boost._c2
-    moved = [_event(g * (e.t - v * e.x / c2), g * (e.x - v * e.t), frame, e.label)
-             for e in events]
+    moved = [boost_event(e, boost, frame) for e in events]
     moved.sort(key=attrgetter("t"))
     classes: list[list[SpacetimeEvent]] = []
     for e in moved:

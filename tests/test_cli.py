@@ -81,6 +81,19 @@ def test_start_loads_no_numpy(body, argv):
     assert _fresh_modules(body, argv) == "[]"
 
 
+@pytest.mark.parametrize("argv,loads", [
+    (["boost", "--v", "0.6c", "--t", "0", "--x", "1000"], False),
+    (["scenario"], False),
+    (["sweep", "--k0=2", "--a-min=0", "--a-max=1", "--steps=5"], False),
+    (["contract", "--hbar", "3/4"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_only_contract_loads_fractions(argv, loads):
+    # contract is the control: its rational scales are parsed as Fractions
+    for package in ("fractions", "decimal"):
+        loaded = _fresh_modules(_RUN_CLI, argv, package=package)
+        assert (f"'{package}'" in loaded) is loads, package
+
+
 def test_numpy_probe_sees_a_numpy_subcommand():
     # control: the probe above would notice numpy if a subcommand loaded it
     argv = ["mzi", "--k0", "2", "--elements", "source,bs,detector"]
@@ -243,7 +256,7 @@ def test_boost_requires_event_or_file(capsys):
     assert "--events" in err
 
 
-def test_boost_events_file_with_classes(capsys, tmp_path):
+def _write_three_events(tmp_path):
     doc = {"frame": "boys", "events": [
         {"label": "a", "t": 0.0, "x": 0.0},
         {"label": "b", "t": 0.0, "x": 1000.0},
@@ -251,6 +264,11 @@ def test_boost_events_file_with_classes(capsys, tmp_path):
     ]}
     path = tmp_path / "events.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_boost_events_file_with_classes(capsys, tmp_path):
+    path = _write_three_events(tmp_path)
     code, out, _ = run(capsys, "boost", "--v", "0.6c",
                        "--events", str(path), "--classes")
     assert code == 0
@@ -259,6 +277,25 @@ def test_boost_events_file_with_classes(capsys, tmp_path):
     assert "c: T=0 s, X=800 km" in out
     assert "T=-0.0025 s: b" in out
     assert "T=0 s: a, c" in out
+
+
+# Reference stdouts, captured once, of outputs the neighbouring tests check
+# only in fragments: a changed digit anywhere in them shows here.
+BOOST_CLASSES_P17_STDOUT = """\
+a: T=0 s, X=0 km
+b: T=-0.0025000000000000001 s, X=1250 km
+c: T=0 s, X=800 km
+simultaneity classes:
+  T=-0.0025000000000000001 s: b
+  T=0 s: a, c
+"""
+
+
+def test_boost_classes_at_full_precision_match_reference(capsys, tmp_path):
+    path = _write_three_events(tmp_path)
+    code, out, err = run(capsys, "boost", "--v", "0.6c", "--events", str(path),
+                         "--classes", "--precision", "17")
+    assert (code, out, err) == (0, BOOST_CLASSES_P17_STDOUT, "")
 
 
 def test_boost_events_excludes_inline_event(capsys, tmp_path):
@@ -467,6 +504,19 @@ def test_group_check_builtin_s3(capsys):
     assert "FAIL" not in out
 
 
+GROUP_CHECK_S3_STDOUT = """\
+group ok: 6 elements, identity 'e', 3 irrep(s)
+irrep sign: n=1 unitarity=0 homomorphism=0 character-norm=1 orthogonality=0 resolution=0 OK
+irrep standard: n=2 unitarity=4.4408920985e-16 homomorphism=3.33066907388e-16 character-norm=1 orthogonality=3.33066907388e-16 resolution=4.4408920985e-16 OK
+irrep trivial: n=1 unitarity=0 homomorphism=0 character-norm=1 orthogonality=0 resolution=0 OK
+"""
+
+
+def test_group_check_builtin_s3_matches_reference(capsys):
+    code, out, err = run(capsys, "group-check", "--group", "builtin:s3")
+    assert (code, out, err) == (0, GROUP_CHECK_S3_STDOUT, "")
+
+
 def test_group_check_single_irrep(capsys):
     code, out, _ = run(capsys, "group-check", "--group", "builtin:s3",
                        "--irrep", "standard")
@@ -548,8 +598,11 @@ def _write_expectations(tmp_path, rho):
     return path
 
 
+ROUNDTRIP_RHO = [[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]]
+
+
 def test_reconstruct_roundtrip(capsys, tmp_path):
-    rho = [[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]]
+    rho = ROUNDTRIP_RHO
     path = _write_expectations(tmp_path, rho)
     code, out, err = run(capsys, "reconstruct", "--group", "builtin:s3",
                          "--irrep", "standard", "--expectations", str(path))
@@ -560,6 +613,68 @@ def test_reconstruct_roundtrip(capsys, tmp_path):
     got = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
     assert np.allclose(got, np.array(rho), atol=1e-10)
     assert doc["eigenvalues"] == sorted(doc["eigenvalues"], reverse=True)
+
+
+RECONSTRUCT_ROUNDTRIP_STDOUT = """\
+{
+  "n": 2,
+  "matrix": [
+    [
+      [
+        0.7,
+        0.0
+      ],
+      [
+        0.1,
+        0.05
+      ]
+    ],
+    [
+      [
+        0.1,
+        -0.05
+      ],
+      [
+        0.3,
+        0.0
+      ]
+    ]
+  ],
+  "eigenvalues": [
+    0.729128784748,
+    0.270871215252
+  ],
+  "eigenvectors": [
+    [
+      [
+        0.967696119901,
+        0.0
+      ],
+      [
+        0.225502495823,
+        -0.112751247912
+      ]
+    ],
+    [
+      [
+        0.252119454878,
+        0.0
+      ],
+      [
+        -0.865533722265,
+        0.432766861132
+      ]
+    ]
+  ]
+}
+"""
+
+
+def test_reconstruct_roundtrip_matches_reference(capsys, tmp_path):
+    path = _write_expectations(tmp_path, ROUNDTRIP_RHO)
+    code, out, err = run(capsys, "reconstruct", "--group", "builtin:s3",
+                         "--irrep", "standard", "--expectations", str(path))
+    assert (code, out, err) == (0, RECONSTRUCT_ROUNDTRIP_STDOUT, "")
 
 
 def test_reconstruct_to_file(capsys, tmp_path):
@@ -625,6 +740,36 @@ def test_scenario_text_report(capsys):
     assert "Bob passes Alice" in out
     assert "joe bob girls: 800" in out
     assert "kim alice boys: 360" in out
+
+
+SCENARIO_STDOUT = """\
+boost: v = 180000 km/s (0.6c), gamma = 1.25
+
+meeting events  (unprimed t s, x km | primed T s, X km):
+  event1  Joe meets Sara: (0, 0)  |  (0, 0)
+  event2  Kim passes Bob: (0, 1000)  |  (-0.0025, 1250)
+  event3  Bob meets Alice: (0.002, 1000)  |  (0, 800)
+
+shared time slices:
+  event1 ~ event2 at boys time 0 s (simultaneous on the boys' t = 0 slice)
+  event1 ~ event3 at girls time 0 s (simultaneous on the girls' T = 0 slice)
+
+conclusions:
+  - Bob passes Alice at t = 0.002 s, T = 0 s
+  - Kim at T = 0 is co-real with Kim at T = -0.0025 s: her own past
+  - Bob at t = 0 is co-real with Bob at t = 0.002 s: his own future
+
+separations (km):
+  joe bob boys: 1000
+  joe bob girls: 800
+  kim alice girls: 450
+  kim alice boys: 360
+"""
+
+
+def test_scenario_text_report_matches_reference(capsys):
+    code, out, err = run(capsys, "scenario")
+    assert (code, out, err) == (0, SCENARIO_STDOUT, "")
 
 
 def test_scenario_json_report(capsys):

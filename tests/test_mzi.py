@@ -1,6 +1,8 @@
 """Interferometer pipeline built from symmetry operators."""
 
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +103,21 @@ def test_bad_wavenumber_rejected():
     for k0 in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             translation_op(0.1, k0)
+
+
+@pytest.mark.parametrize("a,k0", [(math.nan, K0), (math.inf, K0), (-math.inf, K0),
+                                  (1e308, 10.0)],
+                         ids=["nan", "inf", "-inf", "overflow"])
+@pytest.mark.parametrize("build", [
+    translation_op,
+    reflection_op,
+    reflection_eigenkets,
+    lambda a, k0: expectation_T(plus_ket(), a, k0),
+], ids=["translation_op", "reflection_op", "reflection_eigenkets", "expectation_T"])
+def test_operators_refuse_a_non_finite_phase(build, a, k0):
+    # each of these returned NaN entries instead of raising
+    with pytest.raises(ValueError, match=re.escape(f"a = {a} at wave number k0 = {k0}")):
+        build(a, k0)
 
 
 # ---------------------------------------------------------------- pipelines

@@ -239,6 +239,20 @@ def test_boost_aligns_different_times():
     assert classes[0].time == pytest.approx(0.0, abs=1e-15)
 
 
+def test_simultaneity_tolerance_zero_keeps_exact_ties():
+    events = [ev(0.0, 0.0), ev(0.0, 1000.0), ev(1.0, 0.0)]
+    classes = simultaneity_classes(events, Boost(v=0.0), tol=0.0)
+    assert [len(c.events) for c in classes] == [2, 1]
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_simultaneity_tolerance_must_be_finite_and_non_negative(tol):
+    # nan and -1 split the tie into three classes, inf merged all into one
+    events = [ev(0.0, 0.0), ev(0.0, 1000.0), ev(1.0, 0.0)]
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        simultaneity_classes(events, Boost(v=0.0), tol=tol)
+
+
 def test_mixed_frames_rejected():
     with pytest.raises(MixedFrames):
         simultaneity_classes([ev(0.0, 0.0, frame="boys"),
@@ -307,6 +321,15 @@ def test_interval_rejects_the_light_speeds_boost_rejects(c):
         with pytest.raises(ValueError) as info:
             call(ev(0, 0), ev(1, 1), c=c)
         assert str(info.value) == str(boost.value)
+
+
+@pytest.mark.parametrize("c", [-5, 0, math.nan, -math.inf])
+def test_weak_boost_rejects_the_light_speeds_boost_rejects(c):
+    with pytest.raises(ValueError, match="finite and positive") as boost:
+        Boost(v=0.0, c=c)
+    with pytest.raises(ValueError, match="finite and positive") as info:
+        weak_boost_transform(1.0, 1.0, 0.0, c)
+    assert str(info.value) == str(boost.value)
 
 
 @pytest.mark.parametrize("e1,e2,c", [
