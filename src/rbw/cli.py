@@ -116,6 +116,19 @@ def _group_document(spec: str) -> dict:
     return _load_json(spec)
 
 
+def _irreps(spec: str, name: str | None):
+    """The group of `spec` and its irreps by name, only `name` if given."""
+    from .grouprep import load_group, load_irreps
+    document = _group_document(spec)
+    group = load_group(document)
+    irreps = load_irreps(document, group)
+    if name is None:
+        return group, irreps
+    if name not in irreps:
+        raise UsageError(f"document has no irrep {name!r}; have {sorted(irreps)}")
+    return group, {name: irreps[name]}
+
+
 def parse_velocity(text: str, c: float) -> float:
     """km/s, or a multiple of the light speed with the suffix `c`."""
     body = text.strip()
@@ -146,15 +159,8 @@ def _fraction(text: str, flag: str):
 # ------------------------------------------------------------- subcommands
 
 def cmd_group_check(args) -> int:
-    from .grouprep import load_group, load_irreps, verify_irrep
-    document = _group_document(args.group)
-    group = load_group(document)
-    irreps = load_irreps(document, group)
-    if args.irrep is not None:
-        if args.irrep not in irreps:
-            raise UsageError(
-                f"document has no irrep {args.irrep!r}; have {sorted(irreps)}")
-        irreps = {args.irrep: irreps[args.irrep]}
+    from .grouprep import verify_irrep
+    group, irreps = _irreps(args.group, args.irrep)
 
     p = args.precision
     print(f"group ok: {group.N} elements, identity {group.identity!r}, "
@@ -174,13 +180,7 @@ def cmd_group_check(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     from . import symmetry_state
-    from .grouprep import load_group, load_irreps
-    document = _group_document(args.group)
-    group = load_group(document)
-    irreps = load_irreps(document, group)
-    if args.irrep not in irreps:
-        raise UsageError(
-            f"document has no irrep {args.irrep!r}; have {sorted(irreps)}")
+    _, irreps = _irreps(args.group, args.irrep)
     expectations = symmetry_state.load_expectations(
         _load_json(args.expectations), irreps[args.irrep])
 
@@ -384,7 +384,7 @@ def cmd_selftest(args) -> int:
         for check_id, description in selftest.all_checks().items():
             print(f"{check_id}: {description}")
         return 0
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     try:
         results = selftest.run_checks(only)
     except ValueError as exc:

@@ -44,6 +44,7 @@ __all__ = [
     "load_group",
     "load_irrep",
     "load_irreps",
+    "group_document",
     "verify_irrep",
     "orthogonality_residual",
     "resolution_identity",
@@ -139,6 +140,16 @@ class Irrep:
         """All matrices as one read-only (N, n, n) array, in the group's
         element order."""
         return self._stack
+
+    def traces(self, x: np.ndarray) -> np.ndarray:
+        """tr{D(g) x} for every g, in element order: the forward map of
+        rho = (n/N) * sum_g D(g^-1) <D(g)>."""
+        return np.trace(self._stack @ x, axis1=-2, axis2=-1)
+
+    def group_sum(self, w: np.ndarray) -> np.ndarray:
+        """(n/N) * sum_g w[..., g] D(g), the terms added in element order.
+        For a unitary irrep group_sum(traces(x)[group.inverse]) returns x."""
+        return (w[..., None, None] * self._stack).sum(axis=-3) * (self.n / self.group.N)
 
 
 @dataclass(frozen=True)
@@ -384,20 +395,13 @@ def orthogonality_residual(irrep: Irrep) -> float:
     return float(np.max(np.abs(lhs - target)))
 
 
-def _resolve(irrep: Irrep, traces: np.ndarray) -> np.ndarray:
-    """(n/N) * sum_g traces[..., g] D(g): the resolution sum with the
-    traces tr{D(g^-1) D(gprime)} given along the last axis."""
-    d = irrep.stacked()
-    return (traces[..., None, None] * d).sum(axis=-3) * (irrep.n / irrep.group.N)
-
-
 def _resolve_all(irrep: Irrep, prod: np.ndarray) -> np.ndarray:
     """resolution_identity for every element, as an (N, n, n) stack, with
     the traces read from the products prod[a, b] = D(a) D(b)."""
     traces = np.trace(prod[irrep.group.inverse], axis1=2, axis2=3)      # [g, g']
     # [g', g] in C order: the layout fixes the order of the sum over g, so
     # each row keeps resolution_identity's bits
-    return _resolve(irrep, np.ascontiguousarray(traces.T))
+    return irrep.group_sum(np.ascontiguousarray(traces.T))
 
 
 def resolution_identity(irrep: Irrep, gprime: str) -> np.ndarray:
@@ -408,9 +412,4 @@ def resolution_identity(irrep: Irrep, gprime: str) -> np.ndarray:
     which must reproduce D(gprime) for a unitary irrep.  It costs N
     matrix products, one per g.
     """
-    group = irrep.group
-    if gprime not in group:
-        raise UnknownElement(gprime)
-    d = irrep.stacked()
-    return _resolve(irrep, np.trace(d[group.inverse] @ d[group.index[gprime]],
-                                    axis1=1, axis2=2))
+    return irrep.group_sum(irrep.traces(irrep.matrix(gprime))[irrep.group.inverse])

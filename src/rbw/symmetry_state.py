@@ -5,10 +5,11 @@ Given a unitary irrep D over a finite group and the measured averages
 
     rho = (n/N) * sum_g D(g^-1) <D(g)>
 
-with no reference to position, momentum, or any other observable.  The
-rest of the module unpacks that state: eigenvalue weights, outcome
-distributions over a symmetry operator's (generally complex) unit-circle
-eigenvalues, and expansions between eigenbases.
+with no reference to position, momentum, or any other observable:
+`Irrep.group_sum` is that sum, `Irrep.traces` its forward map rho ->
+Tr{D(g) rho}.  The rest of the module unpacks that state: eigenvalue
+weights, outcome distributions over a symmetry operator's (generally
+complex) unit-circle eigenvalues, and expansions between eigenbases.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def expectations_from_state(rho: np.ndarray, irrep: Irrep) -> ExpectationSet:
     if rho.shape != (irrep.n, irrep.n):
         raise DimensionMismatch(
             f"state is {rho.shape}, irrep {irrep.name!r} is {(irrep.n, irrep.n)}")
-    traces = np.trace(rho @ irrep.stacked(), axis1=1, axis2=2)
-    return ExpectationSet(irrep=irrep, values=dict(zip(irrep.group.elements, traces.tolist())))
+    return ExpectationSet(irrep=irrep, values=dict(zip(irrep.group.elements,
+                                                       irrep.traces(rho).tolist())))
 
 
 def reconstruct_density(expectations: ExpectationSet,
@@ -122,12 +123,11 @@ def reconstruct_density(expectations: ExpectationSet,
                 f"<D({group.inv(g)})> = {expectations.values[group.inv(g)]} is not the "
                 f"conjugate of <D({g})> = {expectations.values[g]}")
 
-    d = irrep.stacked()
-    rho = (d[group.inverse] * v[:, None, None]).sum(axis=0) * (n / group.N)
+    rho = irrep.group_sum(v[group.inverse])
 
     if validate:
         # argmax names the first worst element, or the first NaN
-        off = np.abs(np.trace(rho @ d, axis1=1, axis2=2) - v)
+        off = np.abs(irrep.traces(rho) - v)
         worst_i = int(np.argmax(off))
         worst = float(off[worst_i])
         if not worst <= tol:

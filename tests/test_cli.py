@@ -180,6 +180,16 @@ def test_numpy_free_modules_import_no_numpy(module):
             assert name.split(".")[0] != "numpy", (module, name)
 
 
+def test_symmetry_state_forms_no_group_sum_of_its_own():
+    # every group sum goes through Irrep.traces and Irrep.group_sum, so
+    # symmetry_state never reads the raw matrix stack
+    tree = ast.parse(Path(rbw.__file__).with_name("symmetry_state.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "stacked"]
+    assert calls == []
+
+
 def test_unrecognized_flag(capsys):
     code, _, err = run(capsys, "scenario", "--bogus")
     assert code == 1
@@ -1245,9 +1255,10 @@ def test_selftest_only_subset(capsys):
 
 
 def test_selftest_unknown_id(capsys):
-    code, _, err = run(capsys, "selftest", "--only", "nonsense")
-    assert code == 1
-    assert "unknown check ids" in err
+    for only in ("nonsense", ""):
+        code, _, err = run(capsys, "selftest", "--only", only)
+        assert code == 1
+        assert "unknown check ids" in err
 
 
 def test_selftest_failure_exits_two(capsys, monkeypatch):

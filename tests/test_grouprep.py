@@ -466,6 +466,29 @@ def test_group_sums_keep_the_two_stack_bits(m, seed):
         assert report.resolution_residual == float(np.max(np.abs(table - d)))
 
 
+def s3_and_dihedral_irreps():
+    yield from catalog.s3_irreps().values()
+    for m, seed in DIHEDRAL:
+        yield from load_irreps(dihedral_document(m, seed)).values()
+
+
+def test_traces_are_the_loop_traces():
+    rng = np.random.default_rng(3)
+    for irr in s3_and_dihedral_irreps():
+        x = rng.normal(size=(irr.n, irr.n)) + 1j * rng.normal(size=(irr.n, irr.n))
+        loop = [np.trace(irr.matrix(g) @ x) for g in irr.group.elements]
+        assert close(irr.traces(x), loop)
+
+
+def test_group_sum_of_the_traces_returns_any_matrix():
+    # completeness, sum_g D(g) tr{D(g^-1) X} = (N/n) X, on a matrix that is
+    # neither hermitian nor a state: what makes reconstruction exact
+    rng = np.random.default_rng(4)
+    for irr in s3_and_dihedral_irreps():
+        x = rng.normal(size=(irr.n, irr.n)) + 1j * rng.normal(size=(irr.n, irr.n))
+        assert np.max(np.abs(irr.group_sum(irr.traces(x)[irr.group.inverse]) - x)) <= 1e-12
+
+
 def test_resolution_identity_never_builds_the_full_table(monkeypatch):
     def full_table(*args, **kwargs):
         raise AssertionError("resolution_identity built the N x N table")
