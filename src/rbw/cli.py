@@ -505,22 +505,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         default_tolerance()      # a bad RBW_TOLERANCE fails before any output
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    # MemoryError: a grid too large to allocate, e.g. rbw sweep --steps=10**15
+    except (RBWError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RBWError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, MemoryError) as exc:
-        # MemoryError: a grid too large to allocate, e.g. rbw sweep --steps=10**15
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _NUMERIC_ERRORS) else 1
 
 
 if __name__ == "__main__":

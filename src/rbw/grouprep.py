@@ -35,7 +35,7 @@ from .errors import (
     NonClosed,
     UnknownElement,
 )
-from .tolerance import resolve
+from .tolerance import default_tolerance
 
 __all__ = [
     "GroupSpec",
@@ -336,14 +336,14 @@ def group_document(group: GroupSpec,
 
 # ------------------------------------------------------------ operations
 
-def verify_irrep(irrep: Irrep, tol: float | None = None) -> ValidationReport:
+def verify_irrep(irrep: Irrep) -> ValidationReport:
     """Check unitarity, the homomorphism property, irreducibility, the
     orthogonality relation and the resolution identity.
 
     Numerical failures, NaN included, are collected in the report rather
     than raised; matrix shapes were checked when the irrep was made.
     """
-    tol = resolve(tol)
+    tol = default_tolerance()
     group, n = irrep.group, irrep.n
     d = irrep.stacked()
 

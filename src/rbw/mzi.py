@@ -25,7 +25,7 @@ import numpy as np
 
 from . import documents
 from .errors import MalformedPipeline
-from .tolerance import resolve
+from .tolerance import default_tolerance
 
 __all__ = [
     "Element",
@@ -182,9 +182,9 @@ def _phase_array(phase_values: Iterable[float]) -> np.ndarray:
     return a
 
 
-def _require_unit_norm(norm2: np.ndarray, tol: float | None) -> None:
-    """Fail unless every squared norm is within tol of one; NaN fails."""
-    bad = ~(np.abs(norm2 - 1.0) <= resolve(tol))
+def _require_unit_norm(norm2: np.ndarray) -> None:
+    """Fail unless every squared norm is within tolerance of one; NaN fails."""
+    bad = ~(np.abs(norm2 - 1.0) <= default_tolerance())
     if bad.any():
         raise ValueError(f"ket norm^2 = {float(norm2[bad][0]):.6g}, expected 1")
 
@@ -268,18 +268,17 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
                                p_D2=float(abs(ket[1]) ** 2))
     # scalar twin of _require_unit_norm: k0 * a may overflow into a NaN ket
     norm2 = clicks.p_D1 + clicks.p_D2
-    if not (abs(norm2 - 1.0) <= resolve(None)):
+    if not (abs(norm2 - 1.0) <= default_tolerance()):
         raise ValueError(f"ket norm^2 = {norm2:.6g}, expected 1")
     return PipelineResult(ket=ket, clicks=clicks, stages=tuple(stages))
 
 
-def expectation_T(ket: np.ndarray, a: float, k0: float,
-                  tol: float | None = None) -> complex:
+def expectation_T(ket: np.ndarray, a: float, k0: float) -> complex:
     """<ket| T(a) |ket> for a normalized two-component ket."""
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     if ket.shape != (2,):
         raise ValueError(f"ket must have two components, got {ket.shape}")
-    _require_unit_norm(np.array([np.vdot(ket, ket).real]), tol)
+    _require_unit_norm(np.array([np.vdot(ket, ket).real]))
     return complex(np.vdot(ket, translation_op(a, k0) @ ket))
 
 
@@ -336,7 +335,7 @@ def sweep_rows(k0: float, phase_values: Iterable[float]) -> np.ndarray:
                           axis=1)[:, :, None]
         ket = q_dag @ (t_diag * arm[:, None])
     clicks = np.abs(ket[:, :, 0]) ** 2
-    _require_unit_norm(clicks.sum(axis=1), None)
+    _require_unit_norm(clicks.sum(axis=1))
     t_avg = (ket.conj().swapaxes(1, 2) @ (t_diag * ket))[:, 0, 0]
 
     rows = np.empty((a.size, len(SWEEP_COLUMNS)))

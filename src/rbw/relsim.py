@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import documents
 from .errors import MixedFrames, SuperluminalVelocity
-from .tolerance import resolve
+from .tolerance import default_tolerance
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -185,23 +185,20 @@ def _require_single_frame(events: Iterable[SpacetimeEvent]) -> str:
     return next(iter(frames)) if frames else ""
 
 
-def simultaneity_classes(events: Sequence[SpacetimeEvent], boost: Boost,
-                         tol: float = SIMULTANEITY_TOLERANCE
-                         ) -> list[SimultaneityClass]:
+def simultaneity_classes(events: Sequence[SpacetimeEvent],
+                         boost: Boost) -> list[SimultaneityClass]:
     """Partition events by their time in the boosted frame.
 
-    Events whose transformed times agree within an absolute tolerance
-    (default 1e-12 s) fall in one class; classes come out ordered by
+    Events whose transformed times agree within SIMULTANEITY_TOLERANCE
+    (1e-12 s, absolute) fall in one class; classes come out ordered by
     time and hold the boosted events.
     """
-    if not (0 <= tol < math.inf):
-        raise ValueError(f"simultaneity tolerance must be finite and >= 0, got {tol}")
     frame = _toggle_prime(_require_single_frame(events))
     moved = [boost_event(e, boost, frame) for e in events]
     moved.sort(key=attrgetter("t"))
     classes: list[list[SpacetimeEvent]] = []
     for e in moved:
-        if classes and abs(e.t - classes[-1][-1].t) <= tol:
+        if classes and abs(e.t - classes[-1][-1].t) <= SIMULTANEITY_TOLERANCE:
             classes[-1].append(e)
         else:
             classes.append([e])
@@ -222,8 +219,7 @@ def interval(e1: SpacetimeEvent, e2: SpacetimeEvent,
 
 
 def interval_class(e1: SpacetimeEvent, e2: SpacetimeEvent,
-                   c: float = SPEED_OF_LIGHT,
-                   tol: float | None = None) -> str:
+                   c: float = SPEED_OF_LIGHT) -> str:
     """'timelike', 'spacelike' or 'null' by the sign of the invariant.
 
     Nullness is judged relative to the separation scale, so boosted
@@ -235,7 +231,7 @@ def interval_class(e1: SpacetimeEvent, e2: SpacetimeEvent,
     scale = ct * ct + dx * dx
     if not (math.isfinite(s) and math.isfinite(scale)):
         raise ValueError(f"interval {s} km^2 over a scale of {scale} km^2 is not finite")
-    if abs(s) <= resolve(tol) * max(scale, 1.0):
+    if abs(s) <= default_tolerance() * max(scale, 1.0):
         return "null"
     return "timelike" if s > 0 else "spacelike"
 
@@ -289,22 +285,24 @@ def corealness_chain() -> ScenarioReport:
         f"his own future",
     )
 
-    # Joe-Bob separation on the girls' T = 0 slice is event3's X; the
-    # Kim-Alice separation on the boys' t = 0 slice needs Alice's
-    # position there, found by boosting back from the girls' frame.
+    # Joe-Bob separation on the girls' T = 0 slice is event3's X.  In the
+    # girls' frame Alice rides at event3's X and Kim at event2's; their
+    # separation on the boys' t = 0 slice needs both positions there,
+    # found by boosting back from the girls' frame.
+    alice_x, kim_x = boosted["event3"].x, boosted["event2"].x
     inv = boost.inverse()
     alice_at_t0 = boost_event(
-        SpacetimeEvent(t=-boost.v * 800.0 / boost.c ** 2, x=800.0, frame="girls",
+        SpacetimeEvent(t=-boost.v * alice_x / boost.c ** 2, x=alice_x, frame="girls",
                        label="Alice"),
         inv, target_frame="boys")
     kim_at_t0 = boost_event(
-        SpacetimeEvent(t=-boost.v * 1250.0 / boost.c ** 2, x=1250.0, frame="girls",
+        SpacetimeEvent(t=-boost.v * kim_x / boost.c ** 2, x=kim_x, frame="girls",
                        label="Kim"),
         inv, target_frame="boys")
     lengths = {
         "joe_bob_boys": events["event2"].x - events["event1"].x,
         "joe_bob_girls": boosted["event3"].x,
-        "kim_alice_girls": 1250.0 - 800.0,
+        "kim_alice_girls": kim_x - alice_x,
         "kim_alice_boys": kim_at_t0.x - alice_at_t0.x,
     }
 

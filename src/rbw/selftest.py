@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, contraction, mzi, relsim, symmetry_state
+from .errors import GroupValidationError
 from .grouprep import load_group, orthogonality_residual, verify_irrep
 
 __all__ = ["CheckFailed", "CheckResult", "all_checks", "run_checks"]
@@ -56,6 +57,7 @@ def _need(condition: bool, message: str) -> None:
 
 def _close(got, want, tol=1e-12) -> None:
     got, want = np.asarray(got), np.asarray(want)
+    _need(got.shape == want.shape, f"shape {got.shape} where {want.shape} was expected")
     worst = float(np.max(np.abs(got - want)))
     _need(worst <= tol, f"max deviation {worst:.3e} exceeds {tol:.1e}")
 
@@ -389,7 +391,7 @@ def check_group_reconstruction() -> str:
 def check_group_negative_control() -> str:
     try:
         load_group(catalog.corrupted_s3_document())
-    except Exception as exc:
+    except GroupValidationError as exc:
         return f"corrupted table rejected ({type(exc).__name__})"
     raise CheckFailed("corrupted multiplication table was accepted")
 

@@ -31,7 +31,7 @@ from .errors import (
     NotUnitary,
 )
 from .grouprep import Irrep, complex_from_pair, pair_from_complex, pairs_from_matrix
-from .tolerance import PHYSICALITY_THRESHOLD, resolve
+from .tolerance import PHYSICALITY_THRESHOLD, default_tolerance
 
 __all__ = [
     "ExpectationSet",
@@ -95,18 +95,17 @@ def expectations_from_state(rho: np.ndarray, irrep: Irrep) -> ExpectationSet:
                                                        irrep.traces(rho).tolist())))
 
 
-def reconstruct_density(expectations: ExpectationSet,
-                        tol: float | None = None,
-                        validate: bool = True) -> np.ndarray:
+def reconstruct_density(expectations: ExpectationSet) -> np.ndarray:
     """Rebuild the density matrix from the group sum over averages.
 
-    With validate on (the default) the input must be conjugation
-    consistent and must reproduce its own averages under the forward
-    trace map; either failure raises InconsistentExpectations.  A
-    consistent but non-positive or non-unit-trace result only warns,
-    since slightly noisy measured averages land there routinely.
+    The input must be conjugation consistent and must reproduce its own
+    averages under the forward trace map; either failure raises
+    InconsistentExpectations.  A consistent but non-positive or
+    non-unit-trace result only warns, since slightly noisy measured
+    averages land there routinely.  The unchecked sum is
+    ``irrep.group_sum(v[group.inverse])`` over the averages v in element order.
     """
-    tol = resolve(tol)
+    tol = default_tolerance()
     irrep = expectations.irrep
     group, n = irrep.group, irrep.n
 
@@ -114,37 +113,35 @@ def reconstruct_density(expectations: ExpectationSet,
     if missing:
         raise InconsistentExpectations(f"missing averages for {list(missing)}")
     v = np.array([expectations.values[g] for g in group.elements], dtype=complex)
-    if validate:
-        # <D(g^-1)> must be the conjugate of <D(g)>; name the first g that is not
-        bad = np.flatnonzero(~(np.abs(v[group.inverse] - v.conj()) <= tol))
-        if len(bad):
-            g = group.elements[bad[0]]
-            raise InconsistentExpectations(
-                f"<D({group.inv(g)})> = {expectations.values[group.inv(g)]} is not the "
-                f"conjugate of <D({g})> = {expectations.values[g]}")
+    # <D(g^-1)> must be the conjugate of <D(g)>; name the first g that is not
+    bad = np.flatnonzero(~(np.abs(v[group.inverse] - v.conj()) <= tol))
+    if len(bad):
+        g = group.elements[bad[0]]
+        raise InconsistentExpectations(
+            f"<D({group.inv(g)})> = {expectations.values[group.inv(g)]} is not the "
+            f"conjugate of <D({g})> = {expectations.values[g]}")
 
     rho = irrep.group_sum(v[group.inverse])
 
-    if validate:
-        # argmax names the first worst element, or the first NaN
-        off = np.abs(irrep.traces(rho) - v)
-        worst_i = int(np.argmax(off))
-        worst = float(off[worst_i])
-        if not worst <= tol:
-            raise InconsistentExpectations(
-                f"averages are not realizable by any {n}x{n} state: "
-                f"reconstructed <D({group.elements[worst_i]})> is off by {worst:.3e}")
+    # argmax names the first worst element, or the first NaN
+    off = np.abs(irrep.traces(rho) - v)
+    worst_i = int(np.argmax(off))
+    worst = float(off[worst_i])
+    if not worst <= tol:
+        raise InconsistentExpectations(
+            f"averages are not realizable by any {n}x{n} state: "
+            f"reconstructed <D({group.elements[worst_i]})> is off by {worst:.3e}")
 
-        eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        trace = float(np.trace(rho).real)
-        if eigs.min() < -PHYSICALITY_THRESHOLD:
-            warnings.warn(
-                f"reconstructed state has negative weight {eigs.min():.3e}",
-                NonPhysicalStateWarning, stacklevel=2)
-        elif abs(trace - 1.0) > PHYSICALITY_THRESHOLD:
-            warnings.warn(
-                f"reconstructed state has trace {trace:.12g}, not 1",
-                NonPhysicalStateWarning, stacklevel=2)
+    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    trace = float(np.trace(rho).real)
+    if eigs.min() < -PHYSICALITY_THRESHOLD:
+        warnings.warn(
+            f"reconstructed state has negative weight {eigs.min():.3e}",
+            NonPhysicalStateWarning, stacklevel=2)
+    elif abs(trace - 1.0) > PHYSICALITY_THRESHOLD:
+        warnings.warn(
+            f"reconstructed state has trace {trace:.12g}, not 1",
+            NonPhysicalStateWarning, stacklevel=2)
     return rho
 
 
@@ -166,8 +163,7 @@ def _lexicographic(a: Sequence[float], b: Sequence[float]) -> int:
     return 0
 
 
-def eigendecompose(rho: np.ndarray,
-                   tol: float | None = None) -> list[tuple[float, np.ndarray]]:
+def eigendecompose(rho: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Weights and kets of a hermitian matrix, weights descending.
 
     Weights chain into one degenerate weight while each step is at most
@@ -176,7 +172,7 @@ def eigendecompose(rho: np.ndarray,
     entries within 1e-13 counting as equal, so the output is deterministic.
     """
     rho = np.asarray(rho, dtype=complex)
-    _require_hermitian(rho, resolve(tol))
+    _require_hermitian(rho, default_tolerance())
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
     weights = w.tolist()
     level, keyed = 0, []
@@ -193,8 +189,7 @@ def eigendecompose(rho: np.ndarray,
     return [pair for _, pair in keyed]
 
 
-def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
-                          tol: float | None = None) -> OutcomeDistribution:
+def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistribution:
     """Distribution of a symmetry operator's eigenvalues in a state.
 
     Eigenvalues sit on the unit circle and may be complex; only the
@@ -205,7 +200,7 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
     closes across +-pi under it, and a phase within it of -pi counts as +pi.
     So phases closer than 3 r are one outcome: the resolution limit.
     """
-    tol = resolve(tol)
+    tol = default_tolerance()
     rho = np.asarray(rho, dtype=complex)
     symmetry = np.asarray(symmetry, dtype=complex)
     if rho.shape != symmetry.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -246,10 +241,9 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray,
     )
 
 
-def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray],
-                    tol: float | None = None) -> np.ndarray:
+def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray]) -> np.ndarray:
     """Coefficients ⟨basis_i|zeta⟩ of a ket in an orthonormal basis."""
-    tol = resolve(tol)
+    tol = default_tolerance()
     zeta = np.asarray(zeta_ket, dtype=complex).reshape(-1)
     basis = np.column_stack([np.asarray(b, dtype=complex).reshape(-1)
                              for b in symmetry_basis])
@@ -291,9 +285,9 @@ def expectation_document(expectations: ExpectationSet) -> dict:
     }
 
 
-def density_document(rho: np.ndarray, tol: float | None = None) -> dict:
+def density_document(rho: np.ndarray) -> dict:
     rho = np.asarray(rho, dtype=complex)
-    pairs = eigendecompose(rho, tol)
+    pairs = eigendecompose(rho)
     return {
         "n": rho.shape[0],
         "matrix": pairs_from_matrix(rho),

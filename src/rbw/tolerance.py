@@ -1,11 +1,11 @@
 """Global numerical tolerance.
 
-Every residual check in the package takes an optional ``tol`` argument;
-when it is None the default below applies.  The default is 1e-10 absolute
-(all computations here are short products of unit-modulus entries) and can
-be overridden globally through the ``RBW_TOLERANCE`` environment variable.
-A tolerance must be a finite positive number: zero, a negative value, inf
-or NaN raises ValueError, so no check can pass or fail by default.
+Every residual check in the package compares against
+:func:`default_tolerance`, read afresh at each check.  The default is
+1e-10 absolute (all computations here are short products of unit-modulus
+entries) and can be overridden through the ``RBW_TOLERANCE`` environment
+variable.  A tolerance must be a finite positive number: zero, a negative
+value, inf or NaN raises ValueError, so no check can pass or fail by default.
 """
 
 import math
@@ -19,7 +19,7 @@ PHYSICALITY_THRESHOLD = 1e-8
 
 
 def default_tolerance() -> float:
-    """Return the active default tolerance (env override included)."""
+    """Return the active tolerance (env override included)."""
     raw = os.environ.get("RBW_TOLERANCE")
     if raw is None:
         return DEFAULT_TOLERANCE
@@ -27,18 +27,7 @@ def default_tolerance() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f"RBW_TOLERANCE is not a number: {raw!r}") from exc
-    return _require_finite_positive(value, "RBW_TOLERANCE")
-
-
-def resolve(tol: float | None) -> float:
-    """Resolve a per-call tolerance argument against the global default."""
-    if tol is None:
-        return default_tolerance()
-    return _require_finite_positive(float(tol), "tolerance")
-
-
-def _require_finite_positive(value: float, what: str) -> float:
     # inf would pass every residual check and NaN fail every one
     if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{what} must be a finite positive number, got {value}")
+        raise ValueError(f"RBW_TOLERANCE must be a finite positive number, got {value}")
     return value

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rbw
-from rbw import catalog, cli, selftest, symmetry_state
+from rbw import catalog, cli, selftest, symmetry_state, tolerance
 from rbw.grouprep import Irrep, group_document
 
 
@@ -188,6 +188,19 @@ def test_symmetry_state_forms_no_group_sum_of_its_own():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "stacked"]
     assert calls == []
+
+
+def test_tolerance_has_one_knob():
+    # every check reads RBW_TOLERANCE through default_tolerance; no public
+    # function takes a per-call tolerance or a switch that skips its checks
+    knobs = [(path.name, node.name, arg.arg)
+             for path in Path(rbw.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+             for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+             if arg.arg in ("tol", "validate")]
+    assert knobs == []
+    assert not hasattr(tolerance, "resolve")
 
 
 def test_unrecognized_flag(capsys):

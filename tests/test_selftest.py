@@ -42,3 +42,19 @@ def test_failures_are_reported_not_raised(monkeypatch):
     assert len(results) == 1
     assert not results[0].ok
     assert "RuntimeError" in results[0].detail
+
+
+def test_negative_control_fails_when_the_validator_crashes(monkeypatch):
+    # only a group validation error counts as the corrupted table rejected
+    def crash(document):
+        raise TypeError("validator bug")
+    monkeypatch.setattr(selftest, "load_group", crash)
+    [result] = selftest.run_checks(["group-negative-control"])
+    assert not result.ok
+    assert result.detail == "TypeError: validator bug"
+
+
+def test_close_rejects_a_result_of_the_wrong_shape():
+    # broadcasting would pass [0.5] against [0.5, 0.5]
+    with pytest.raises(selftest.CheckFailed, match="shape"):
+        selftest._close([0.5], [0.5, 0.5])
