@@ -207,12 +207,11 @@ def _pipeline_from_args(args) -> tuple[float, list[mzi.Element]]:
 
 
 def cmd_mzi(args) -> int:
-    import numpy as np
     from . import mzi
     k0, elements = _pipeline_from_args(args)
-    # an overflowing k0 * a leaves a NaN ket, which run_pipeline rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = mzi.run_pipeline(elements, k0)
+    # run_pipeline, like sweep_rows, refuses k0 outside about 4.37e-309 to
+    # 4.49e307, or a non-finite k0 * a, before computing anything
+    result = mzi.run_pipeline(elements, k0)
     # sample before printing, so that a bad --shots or --seed prints no report
     sampled = mzi.sample_clicks(result.clicks, args.shots, args.seed) if args.shots else None
     p = args.precision

@@ -12,6 +12,10 @@ so an interferometer run is nothing but a product of symmetry operators
 applied to |+>.  Detector D1 collects the |+> amplitude and D2 the |->
 amplitude throughout; the mirror reflection is tracked as an explicit
 operator rather than by relabeling the detectors.
+
+Every entry point checks its inputs before computing anything: k0 must
+keep 4 k0 and pi/(4 k0) finite (about 4.37e-309 to 4.49e307, where Q is
+the real rotation), and each phase k0 a (2 k0 a for S) must be finite.
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ def _require_wavenumber(k0: float) -> float:
     k0 = float(k0)
     if not (k0 > 0) or not math.isfinite(k0):
         raise ValueError(f"wave number must be finite and positive, got {k0}")
+    if not (math.isfinite(4 * k0) and math.isfinite(math.pi / (4 * k0))):
+        raise ValueError(f"wave number must lie between about 4.37e-309 and 4.49e307, got {k0}")
     return k0
 
 
@@ -106,15 +112,17 @@ def minus_ket() -> np.ndarray:
 
 # ---------------------------------------------------------------- operators
 
-def _translation_phases(a: float, k0: float) -> np.ndarray:
-    """The diagonal (e^{-i k0 a}, e^{i k0 a}) of T(a), for a validated k0."""
+def _translation_phases(a: float | np.ndarray, k0: float) -> np.ndarray:
+    """The diagonal (e^{-i k0 a}, e^{i k0 a}) of T(a), for a validated k0:
+    shape (2,) for one shift, (2, n) for n of them."""
     return np.array([np.exp(-1j * k0 * a), np.exp(1j * k0 * a)])
 
 
 def _require_finite_phase(a: float, k0: float, factor: float = 1.0) -> None:
     """Refuse a shift whose phase factor * k0 * a is NaN or infinite, by a
-    non-finite a or an overflowing product: its operator would be NaN."""
-    if not math.isfinite(factor * k0 * a):
+    non-finite a or an overflowing product: its operator would be NaN.  The
+    product is a float's, which overflows to inf without a numpy warning."""
+    if not math.isfinite(factor * k0 * float(a)):
         raise ValueError(f"phase shift a = {a} at wave number k0 = {k0} "
                          "gives a non-finite phase")
 
@@ -125,26 +133,18 @@ def translation_op(a: float, k0: float) -> np.ndarray:
     return np.diag(_translation_phases(a, k0))
 
 
-def _reflection(a: float, k0: float) -> np.ndarray:
-    """S(a) for a validated k0.  The pipeline builds its operators through
-    this unchecked form: at k0 near the float limit S(0) and Q come out
-    NaN, and the pipeline's final norm check refuses the ket."""
-    return np.array([[0.0, np.exp(-2j * k0 * a)],
-                     [np.exp(2j * k0 * a), 0.0]])
-
-
 def reflection_op(a: float, k0: float) -> np.ndarray:
     k0 = _require_wavenumber(k0)
     _require_finite_phase(a, k0, 2.0)
-    return _reflection(a, k0)
+    return np.array([[0.0, np.exp(-2j * k0 * a)],
+                     [np.exp(2j * k0 * a), 0.0]])
 
 
 def reflection_eigenkets(a: float, k0: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenkets of S(a) for eigenvalues +1 and -1, in that order."""
     k0 = _require_wavenumber(k0)
     _require_finite_phase(a, k0)
-    up = np.exp(-1j * k0 * a) / np.sqrt(2)
-    dn = np.exp(1j * k0 * a) / np.sqrt(2)
+    up, dn = _translation_phases(a, k0) / np.sqrt(2)
     return np.array([up, dn]), np.array([up, -dn])
 
 
@@ -154,7 +154,7 @@ def beam_splitter_op(k0: float) -> np.ndarray:
     [[1, -1], [1, 1]]/sqrt(2)."""
     k0 = _require_wavenumber(k0)
     a0 = np.pi / (4 * k0)
-    return (np.eye(2) - 1j * _reflection(a0, k0)) / np.sqrt(2)
+    return (np.eye(2) - 1j * reflection_op(a0, k0)) / np.sqrt(2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -162,13 +162,13 @@ def _operators(k0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q, Q^dagger and S(0) for a validated wave number, built once and
     frozen so that every caller can share them."""
     q = beam_splitter_op(k0)
-    ops = (q, q.conj().T, _reflection(0.0, k0))
+    ops = (q, q.conj().T, reflection_op(0.0, k0))
     for op in ops:
         op.setflags(write=False)
     return ops
 
 
-def _phase_array(phase_values: Iterable[float]) -> np.ndarray:
+def _phase_array(phase_values: Iterable[float], k0: float) -> np.ndarray:
     """The settings as a 1-D float array: an array or a sequence converts in
     one call, and only another iterable is walked element by element."""
     if isinstance(phase_values, (np.ndarray, Sequence)):
@@ -179,14 +179,17 @@ def _phase_array(phase_values: Iterable[float]) -> np.ndarray:
         a = np.fromiter(phase_values, dtype=float)
     if not np.isfinite(a).all():
         raise MalformedPipeline("phase plate needs a finite shift, e.g. phase:0.3")
+    if a.size:
+        # |k0 a| grows with |a|: the largest shift decides for every phase
+        _require_finite_phase(a[np.abs(a).argmax()], k0)
     return a
 
 
-def _require_unit_norm(norm2: np.ndarray) -> None:
-    """Fail unless every squared norm is within tolerance of one; NaN fails."""
-    bad = ~(np.abs(norm2 - 1.0) <= default_tolerance())
-    if bad.any():
-        raise ValueError(f"ket norm^2 = {float(norm2[bad][0]):.6g}, expected 1")
+def _require_unit_norm(residual: float) -> None:
+    """Fail unless |norm^2 - 1| is within tolerance; checked inputs pass."""
+    tol = default_tolerance()
+    if not residual <= tol:
+        raise ValueError(f"ket |norm^2 - 1| = {residual:.6g} exceeds the tolerance {tol:g}")
 
 
 # ----------------------------------------------------------------- pipeline
@@ -222,13 +225,14 @@ def _layout(kinds: tuple[str, ...]) -> int | None:
     return kinds.index("phase") if "phase" in kinds else None
 
 
-def _validate_pipeline(elements: Sequence[Element]) -> None:
+def _validate_pipeline(elements: Sequence[Element], k0: float) -> None:
     phase = _layout(tuple(e.kind for e in elements))
     # phase values change from call to call, so they are checked outside the cache
     if phase is not None:
         a = elements[phase].a
         if a is None or not math.isfinite(a):
             raise MalformedPipeline("phase plate needs a finite shift, e.g. phase:0.3")
+        _require_finite_phase(a, k0)
 
 
 def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
@@ -239,7 +243,7 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
     squared moduli of the final amplitudes, D1 on the |+> component.
     """
     k0 = _require_wavenumber(k0)
-    _validate_pipeline(elements)
+    _validate_pipeline(elements, k0)
 
     q, q_dag, s0 = _operators(k0)
     stages: list[tuple[str, np.ndarray]] = []
@@ -266,10 +270,7 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
 
     clicks = ClickDistribution(p_D1=float(abs(ket[0]) ** 2),
                                p_D2=float(abs(ket[1]) ** 2))
-    # scalar twin of _require_unit_norm: k0 * a may overflow into a NaN ket
-    norm2 = clicks.p_D1 + clicks.p_D2
-    if not (abs(norm2 - 1.0) <= default_tolerance()):
-        raise ValueError(f"ket norm^2 = {norm2:.6g}, expected 1")
+    _require_unit_norm(abs(clicks.p_D1 + clicks.p_D2 - 1.0))
     return PipelineResult(ket=ket, clicks=clicks, stages=tuple(stages))
 
 
@@ -278,7 +279,7 @@ def expectation_T(ket: np.ndarray, a: float, k0: float) -> complex:
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     if ket.shape != (2,):
         raise ValueError(f"ket must have two components, got {ket.shape}")
-    _require_unit_norm(np.array([np.vdot(ket, ket).real]))
+    _require_unit_norm(abs(np.vdot(ket, ket).real - 1.0))
     return complex(np.vdot(ket, translation_op(a, k0) @ ket))
 
 
@@ -286,9 +287,9 @@ def density_from_sweep(k0: float, phase_values: Iterable[float]) -> np.ndarray:
     """Post-interferometer states diag(cos^2(k0 a), sin^2(k0 a)), stacked
     as an (n, 2, 2) complex array, one per phase-plate setting."""
     k0 = _require_wavenumber(k0)
-    a = _phase_array(phase_values)
-    c, s = np.cos(k0 * a), np.sin(k0 * a)
-    rho = np.zeros((a.size, 2, 2), dtype=complex)
+    ka = k0 * _phase_array(phase_values, k0)
+    c, s = np.cos(ka), np.sin(ka)
+    rho = np.zeros((ka.size, 2, 2), dtype=complex)
     rho[:, 0, 0] = c * c
     rho[:, 1, 1] = s * s
     return rho
@@ -297,8 +298,11 @@ def density_from_sweep(k0: float, phase_values: Iterable[float]) -> np.ndarray:
 def hamiltonian_expectation(rho: np.ndarray, energy: float) -> float:
     """Tr{rho . E I} = E for any unit-trace state: the energy rides along
     without constraining the interference statistics."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(energy * np.trace(rho).real)
+    # a float product, whose overflow gives inf and no numpy warning
+    value = float(energy) * float(np.trace(np.asarray(rho, dtype=complex)).real)
+    if not math.isfinite(value):
+        raise ValueError(f"energy E = {energy} gives a non-finite Tr(rho E) = {value}")
+    return value
 
 
 def sample_clicks(clicks: ClickDistribution, shots: int, seed: int = 0) -> tuple[int, int]:
@@ -325,25 +329,17 @@ def sweep_rows(k0: float, phase_values: Iterable[float]) -> np.ndarray:
     costs one diagonal product and one Q^dagger product.
     """
     k0 = _require_wavenumber(k0)
-    a = _phase_array(phase_values)
+    a = _phase_array(phase_values, k0)
     q, q_dag, s0 = _operators(k0)
     arm = s0 @ (q @ plus_ket())
-    # k0 a may overflow; the norm check below rejects the non-finite kets
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (n, 2, 1) column kets: each stacked product rounds as in run_pipeline
-        t_diag = np.stack([np.exp(-1j * k0 * a), np.exp(1j * k0 * a)],
-                          axis=1)[:, :, None]
-        ket = q_dag @ (t_diag * arm[:, None])
+    # (n, 2, 1) column kets: each stacked product rounds as in run_pipeline
+    t_diag = _translation_phases(a, k0).T[:, :, None]
+    ket = q_dag @ (t_diag * arm[:, None])
     clicks = np.abs(ket[:, :, 0]) ** 2
-    _require_unit_norm(clicks.sum(axis=1))
+    _require_unit_norm(float(np.abs(clicks.sum(axis=1) - 1.0).max(initial=0.0)))
     t_avg = (ket.conj().swapaxes(1, 2) @ (t_diag * ket))[:, 0, 0]
 
-    rows = np.empty((a.size, len(SWEEP_COLUMNS)))
-    rows[:, 0] = a
-    rows[:, 1:3] = clicks
-    rows[:, 3] = t_avg.real
-    rows[:, 4] = t_avg.imag
-    return rows
+    return np.column_stack([a, clicks, t_avg.real, t_avg.imag])
 
 
 def write_sweep_csv(rows, stream, precision: int = 12) -> None:

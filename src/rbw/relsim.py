@@ -172,10 +172,14 @@ def weak_boost_transform(t: float, x: float, v: float,
 
     With c = inf this is the absolute-time transform (t, x - v t); at
     finite c the mixing of x into T is what survives into the
-    contracted bracket between T and K.
+    contracted bracket between T and K.  Non-finite coordinates, in or
+    out, are refused as boost_event refuses them.
     """
+    _require_finite(t, x)
     shift = 0.0 if c == math.inf else v * x / _checked_light_speed_squared(c)
-    return t - shift, x - v * t
+    out = t - shift, x - v * t
+    _require_finite(*out)
+    return out
 
 
 def _require_single_frame(events: Iterable[SpacetimeEvent]) -> str:

@@ -429,8 +429,20 @@ def test_sweep_overflow_writes_no_file(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "--k0=2", "--a-min=0", "--a-max=1e308",
                        "--steps=3", "--output", str(path))
     assert code == 1
-    assert "norm" in err
+    assert "gives a non-finite phase" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mzi", "--k0", "5e307", "--elements", "source,bs,phase:0.3,bs,detector"],
+    ["sweep", "--k0", "5e307", "--a-min", "0", "--a-max", "1", "--steps", "3"],
+], ids=["mzi", "sweep"])
+def test_wavenumber_past_the_splitters_range_exits_1(capsys, argv):
+    # 4 k0 overflows, so Q came out wrong and both printed clicks with exit 0
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: wave number must lie between about 4.37e-309 and 4.49e307, got 5e+307\n"
 
 
 # ------------------------------------------------------------------ mzi
@@ -484,7 +496,8 @@ def test_mzi_phase_overflow_exits_1(capsys):
                          "source,bs,phase:1e10,bs,detector")
     assert code == 1
     assert out == ""
-    assert err == "error: ket norm^2 = nan, expected 1\n"
+    assert err == ("error: phase shift a = 10000000000.0 at wave number k0 = 1e+300 "
+                   "gives a non-finite phase\n")
 
 
 @pytest.mark.parametrize("flag", ["--shots=-1", "--shots=1180591620717411303424", "--seed=-1"])
@@ -582,6 +595,16 @@ def test_group_check_reducible_rep_is_numeric_violation(capsys, tmp_path):
     assert code == 2
     assert "character-norm=2" in out
     assert "FAIL" in out
+
+
+def test_mzi_norm_failure_names_the_residual_and_tolerance(capsys, monkeypatch):
+    # the ket's norm^2 is off 1 by one ulp; the message once read "norm^2 = 1"
+    monkeypatch.setenv("RBW_TOLERANCE", "1e-20")
+    code, out, err = run(capsys, "mzi", "--k0", "2", "--elements",
+                         "source,bs,mirrors,phase:0.3,bs,detector")
+    assert code == 1
+    assert out == ""
+    assert err == "error: ket |norm^2 - 1| = 2.22045e-16 exceeds the tolerance 1e-20\n"
 
 
 def test_group_check_honors_env_tolerance(capsys, monkeypatch):
@@ -1326,7 +1349,7 @@ _RECONSTRUCT_Z2 = ["reconstruct", "--group", "builtin:z2", "--irrep", "sign", "-
      "label must be a string"),
     (["mzi", "--pipeline"], {"k0": 1e308, "elements": ["source", "bs", "phase:0.3", "bs",
                                                        "detector"]},
-     "ket norm^2 = nan"),
+     "wave number must lie between"),
     (["boost", "--v", "0.6c", "--events"], {"events": [{"t": 0, "x": 0}, {"t": 1e308, "x": 0}]},
      "must be finite"),
     *[(argv, doc(bad), "must be a finite number")

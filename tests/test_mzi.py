@@ -105,9 +105,25 @@ def test_bad_wavenumber_rejected():
             translation_op(0.1, k0)
 
 
+@pytest.mark.parametrize("k0", [5e307, 1e308, 1e-320, 4e-309])
+def test_wavenumber_outside_the_splitters_range_is_rejected(k0):
+    # 4 k0 or pi/(4 k0) overflows there: Q came out as (I - i sigma_x)/sqrt(2)
+    # at 5e307 and with NaN entries at 1e308 and 1e-320
+    for build in (beam_splitter_op, lambda k0: run_pipeline(
+            elements("source", "bs", "detector"), k0), lambda k0: sweep_rows(k0, [0.1])):
+        with pytest.raises(ValueError, match=f"wave number must lie between .* got {re.escape(str(k0))}$"):
+            build(k0)
+
+
+@pytest.mark.parametrize("k0", [4.4942328371557893e307, 4.36892230473808e-309])
+def test_splitter_is_the_real_rotation_at_the_ends_of_its_range(k0):
+    q = beam_splitter_op(k0)
+    assert np.max(np.abs(q - np.array([[1, -1], [1, 1]]) / np.sqrt(2))) < 1e-15
+
+
 @pytest.mark.parametrize("a,k0", [(math.nan, K0), (math.inf, K0), (-math.inf, K0),
-                                  (1e308, 10.0)],
-                         ids=["nan", "inf", "-inf", "overflow"])
+                                  (1e308, 10.0), (np.float64(1e308), 10.0)],
+                         ids=["nan", "inf", "-inf", "overflow", "numpy-overflow"])
 @pytest.mark.parametrize("build", [
     translation_op,
     reflection_op,
@@ -244,11 +260,14 @@ def test_unknown_element_rejected():
         run_pipeline([Element("source"), Element("prism"), Element("detector")], K0)
 
 
-@pytest.mark.parametrize("k0,phase", [(1e300, "phase:1e10"), (1e308, "phase:0.3")])
-def test_overflowing_pipeline_fails_closed(k0, phase):
-    # k0 * a (or the beam splitter at k0 = 1e308) overflows into a NaN
-    # ket; the final norm check must reject it rather than report clicks
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="norm"):
+@pytest.mark.parametrize("k0,phase,needle", [
+    (1e300, "phase:1e10", "gives a non-finite phase"),
+    (1e308, "phase:0.3", "wave number must lie between"),
+], ids=["1e+300-phase:1e10", "1e+308-phase:0.3"])
+def test_overflowing_pipeline_fails_closed(k0, phase, needle):
+    # k0 * a (or the beam splitter at k0 = 1e308) would overflow into a NaN
+    # ket; the pipeline must refuse its inputs rather than report clicks
+    with pytest.raises(ValueError, match=needle):
         run_pipeline(elements("source", "bs", phase, "bs", "detector"), k0)
 
 
@@ -332,6 +351,18 @@ def test_outcomes_agree_with_symmetry_state_module():
             np.cos(K0 * a) ** 2, abs=1e-10)
         assert by_eig[complex(np.exp(1j * K0 * a))] == pytest.approx(
             np.sin(K0 * a) ** 2, abs=1e-10)
+
+
+@pytest.mark.parametrize("rho,energy", [
+    (np.diag([0.3, 0.7]), math.nan),
+    (np.diag([0.3, 0.7]), math.inf),
+    (np.eye(2), 1e308),
+    (np.diag([math.nan, 0.5]), 1.0),
+], ids=["nan-energy", "inf-energy", "overflow", "nan-state"])
+def test_hamiltonian_refuses_a_non_finite_expectation(rho, energy):
+    # these returned NaN or inf (and the overflow a RuntimeWarning)
+    with pytest.raises(ValueError, match=re.escape(f"E = {energy} gives a non-finite")):
+        hamiltonian_expectation(rho, energy)
 
 
 def test_hamiltonian_rides_along():
@@ -463,9 +494,26 @@ def test_sweep_rejects_non_finite_phase(bad):
         density_from_sweep(K0, [bad])
 
 
+def test_density_sweep_rejects_overflowing_phase():
+    # returned a NaN slice for the second setting
+    with pytest.raises(ValueError, match=r"a = 1e\+308 at wave number k0 = 2.0 gives a non-finite"):
+        density_from_sweep(2.0, [0.1, 1e308])
+
+
+def test_norm_check_still_catches_a_non_unitary_operator(monkeypatch):
+    # checked inputs cannot reach the final norm check; a broken splitter can
+    q, q_dag, s0 = mzi._operators(K0)
+    monkeypatch.setattr(mzi, "_operators", lambda k0: (1.01 * q, q_dag, s0))
+    needle = r"ket \|norm\^2 - 1\| = 0\.0201 exceeds the tolerance 1e-10"
+    with pytest.raises(ValueError, match=needle):
+        run_pipeline(elements("source", "bs", "mirrors", "phase:0.3", "bs", "detector"), K0)
+    with pytest.raises(ValueError, match=needle):
+        sweep_rows(K0, np.linspace(-1.0, 1.0, 5))
+
+
 def test_sweep_rejects_overflowing_phase():
-    # k0 a overflows to inf: the kets turn NaN and the norm check fails closed
-    with pytest.raises(ValueError, match="norm"):
+    # k0 a overflows to inf for the largest shift, which is named
+    with pytest.raises(ValueError, match=r"a = 1e\+308 at wave number k0 = 2.0 gives a non-finite"):
         sweep_rows(K0, [0.0, 5e307, 1e308])
 
 

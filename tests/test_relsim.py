@@ -179,6 +179,20 @@ def test_overflowing_boost_raises_the_constructor_error():
             "event coordinates must be finite: t=inf, x=-inf")
 
 
+@pytest.mark.parametrize("t,x,v,c,coords", [
+    (math.nan, 1.0, 0.5, C, "t=nan, x=1.0"),
+    (1.0, math.inf, 0.5, C, "t=1.0, x=inf"),
+    (1.0, 1.0, math.inf, C, "t=-inf, x=-inf"),
+    (1.0, 1.0, math.nan, math.inf, "t=1.0, x=nan"),
+    (0.0, 1e308, 1e10, 1.0, "t=-inf, x=1e+308"),
+], ids=["nan-t", "inf-x", "inf-v", "nan-v-absolute-time", "overflowing-shift"])
+def test_weak_boost_refuses_non_finite_coordinates(t, x, v, c, coords):
+    # each of these returned NaN or infinite coordinates instead of raising
+    with pytest.raises(ValueError) as info:
+        weak_boost_transform(t, x, v, c)
+    assert str(info.value) == f"event coordinates must be finite: {coords}"
+
+
 @pytest.mark.parametrize("v", [0.0, -1234.5, 0.6 * C])
 def test_boost_equality_hash_and_repr_see_only_v_and_c(v):
     assert Boost(v=v) == Boost(v=v)
