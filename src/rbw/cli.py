@@ -16,8 +16,10 @@ contract was violated (residual over tolerance, failed check).
 
 Each subcommand imports the modules it uses when it runs.  `boost` and
 `scenario` run on the math-only `relsim` and `contract` on the exact
-`contraction`, so those three start without numpy.  The others load
-numpy; of them only `selftest` also loads `relsim`.
+`contraction`, so those three start without numpy.  `group-check` and
+`reconstruct` check a document's table with the stdlib-only `cayley`
+and load numpy only after the table passes.  The others load numpy; of
+them only `selftest` also loads `relsim`.
 """
 
 from __future__ import annotations
@@ -117,10 +119,14 @@ def _group_document(spec: str) -> dict:
 
 
 def _irreps(spec: str, name: str | None):
-    """The group of `spec` and its irreps by name, only `name` if given."""
-    from .grouprep import load_group, load_irreps
+    """The group of `spec` and its irreps by name, only `name` if given.
+    The table is checked before numpy is imported, so a document that is
+    not a group is refused without it."""
+    from .cayley import check_table
     document = _group_document(spec)
-    group = load_group(document)
+    table = check_table(document)
+    from .grouprep import group_from_table, load_irreps
+    group = group_from_table(table)
     irreps = load_irreps(document, group)
     if name is None:
         return group, irreps
@@ -159,8 +165,8 @@ def _fraction(text: str, flag: str):
 # ------------------------------------------------------------- subcommands
 
 def cmd_group_check(args) -> int:
-    from .grouprep import verify_irrep
     group, irreps = _irreps(args.group, args.irrep)
+    from .grouprep import verify_irrep
 
     p = args.precision
     print(f"group ok: {group.N} elements, identity {group.identity!r}, "
@@ -179,8 +185,8 @@ def cmd_group_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    from . import symmetry_state
     _, irreps = _irreps(args.group, args.irrep)
+    from . import symmetry_state
     expectations = symmetry_state.load_expectations(
         _load_json(args.expectations), irreps[args.irrep])
 

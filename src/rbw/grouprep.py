@@ -27,14 +27,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import documents
-from .errors import (
-    DimensionMismatch,
-    MissingIdentity,
-    MissingInverse,
-    NonAssociative,
-    NonClosed,
-    UnknownElement,
-)
+from .cayley import CayleyTable, check_table
+from .errors import DimensionMismatch, UnknownElement
 from .tolerance import default_tolerance
 
 __all__ = [
@@ -42,6 +36,7 @@ __all__ = [
     "Irrep",
     "ValidationReport",
     "load_group",
+    "group_from_table",
     "load_irrep",
     "load_irreps",
     "group_document",
@@ -68,8 +63,8 @@ class GroupSpec:
     Groups compare by identity, since the array fields have no single
     truth value under ``==``.
 
-    Construct through :func:`load_group`, which validates the axioms;
-    direct construction skips validation.
+    Construct through :func:`load_group` or :func:`group_from_table`,
+    whose table has passed the axioms; direct construction skips them.
     """
 
     elements: tuple[str, ...]
@@ -205,81 +200,27 @@ def _irrep_entries(doc: dict) -> dict:
     return documents.field(doc, "irreps", "group document", dict, {})
 
 
-# rows of `a` per associativity block: 16 * N^2 index pairs at a time
-_ASSOCIATIVITY_BLOCK = 16
-
-
 def load_group(document) -> GroupSpec:
     """Parse and validate a group document (dict or JSON text).
 
-    Raises NonClosed, MissingIdentity, MissingInverse or NonAssociative,
-    naming the first offending element(s) in element order.
+    The axioms are checked on plain index rows by
+    :func:`rbw.cayley.check_table`, associativity by Light's test over a
+    greedy generating set in O(N^2 log N).  Raises NonClosed,
+    MissingIdentity, MissingInverse or NonAssociative, naming the first
+    offending element(s) in element order.
     """
-    doc = documents.parse(document, "group document")
-    labels = documents.field(doc, "elements", "group document", list)
-    mul_doc = documents.field(doc, "mul", "group document", dict)
+    return group_from_table(check_table(document))
 
-    if not labels:
-        raise ValueError("group document lists no elements")
-    for g in labels:
-        if "," in documents.checked(g, str, f"bad element label {g!r}") or not g:
-            raise ValueError(f"bad element label {g!r} (labels are nonempty, comma-free strings)")
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate element labels in group document")
 
-    elements = tuple(labels)
-    index = {g: i for i, g in enumerate(elements)}
-    table = np.full((len(elements),) * 2, -1, dtype=np.intp)
-    for key, gh in mul_doc.items():
-        parts = documents.checked(key, str, "each mul key").split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad mul key {key!r} (expected 'g,h')")
-        g, h = parts[0].strip(), parts[1].strip()
-        if g not in index or h not in index:
-            raise NonClosed(f"mul key ({g},{h}) uses unknown element")
-        if documents.checked(gh, str, "each mul value") not in index:
-            raise NonClosed(f"mul({g},{h}) = {gh!r} is not an element of the group")
-        table[index[g], index[h]] = index[gh]
-
-    # totality; argwhere lists offenders in C order, as nested loops meet them
-    holes = np.argwhere(table < 0)
-    if len(holes):
-        g, h = (elements[i] for i in holes[0])
-        raise NonClosed(f"mul({g},{h}) is missing from the table")
-
-    # two-sided identity: row e and column e both read 0..N-1.  It is
-    # unique when it exists (e1 = e1*e2 = e2), so only its absence fails.
-    ordinal = np.arange(len(elements))
-    candidates = np.flatnonzero((table == ordinal).all(axis=1)
-                                & (table.T == ordinal).all(axis=1))
-    if not len(candidates):
-        raise MissingIdentity("no two-sided identity")
-    e = int(candidates[0])
-
-    # unique two-sided inverses: pairs with g*h = h*g = e
-    inverts = (table == e) & (table.T == e)
-    bad = np.flatnonzero(inverts.sum(axis=1) != 1)
-    if len(bad):
-        invs = [elements[i] for i in np.flatnonzero(inverts[bad[0]])]
-        raise MissingInverse(
-            f"element {elements[bad[0]]!r} has "
-            + ("no two-sided inverse" if not invs else f"multiple inverses {invs}"))
-    inverse = inverts.argmax(axis=1)
-
-    # associativity, exhaustively, over row blocks of a in C order so that
-    # memory stays O(block * N^2): table[rows][a, b, c] = (ab)c and
-    # rows[:, table][a, b, c] = a(bc)
-    for start in range(0, len(elements), _ASSOCIATIVITY_BLOCK):
-        rows = table[start:start + _ASSOCIATIVITY_BLOCK]
-        triples = np.argwhere(table[rows] != rows[:, table])
-        if len(triples):
-            a, b, c = (elements[i] for i in triples[0] + (start, 0, 0))
-            raise NonAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-
+def group_from_table(checked: CayleyTable) -> GroupSpec:
+    """The group of a table that :func:`rbw.cayley.check_table` passed."""
+    table = np.array(checked.rows, dtype=np.intp)
+    inverse = np.array(checked.inverse, dtype=np.intp)
     table.setflags(write=False)
     inverse.setflags(write=False)
-    return GroupSpec(elements=elements, table=table, identity=elements[e],
-                     inverse=inverse, index=index)
+    return GroupSpec(elements=checked.elements, table=table,
+                     identity=checked.elements[checked.identity],
+                     inverse=inverse, index=checked.index)
 
 
 def load_irrep(document, name: str, group: GroupSpec | None = None) -> Irrep:

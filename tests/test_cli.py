@@ -100,6 +100,57 @@ def test_numpy_probe_sees_a_numpy_subcommand():
     assert "'numpy'" in _fresh_modules(_RUN_CLI, argv)
 
 
+def _refuse_cli(needle):
+    """A probe body: the CLI exits 1 with one `error:` line holding needle."""
+    return ("import contextlib, io, rbw.cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    code = rbw.cli.main(sys.argv[1:])\n"
+            "text = err.getvalue()\n"
+            "assert code == 1 and text.count('\\n') == 1, (code, text)\n"
+            f"assert text.startswith('error: ') and {needle!r} in text, text\n")
+
+
+# one document per group axiom it breaks, and the message naming it
+_NOT_GROUPS = {
+    "non-closed": ({"elements": ["e", "r"], "mul": {"e,e": "e", "e,r": "r", "r,e": "r"}},
+                   "mul(r,r) is missing from the table"),
+    "no-identity": ({"elements": ["a", "b"],
+                     "mul": {"a,a": "a", "a,b": "a", "b,a": "b", "b,b": "b"}},
+                    "no two-sided identity"),
+    "no-inverse": ({"elements": ["e", "a"],
+                    "mul": {"e,e": "e", "e,a": "a", "a,e": "a", "a,a": "a"}},
+                   "element 'a' has no two-sided inverse"),
+    "non-associative": ({"elements": ["e", "a", "b"],
+                         "mul": {"e,e": "e", "e,a": "a", "e,b": "b",
+                                 "a,e": "a", "a,a": "e", "a,b": "a",
+                                 "b,e": "b", "b,a": "b", "b,b": "e"}},
+                        "(a*a)*b != a*(a*b)"),
+}
+
+
+@pytest.mark.parametrize("subcommand", ["group-check", "reconstruct"])
+@pytest.mark.parametrize("axiom", sorted(_NOT_GROUPS))
+def test_table_that_is_not_a_group_is_refused_without_numpy(tmp_path, subcommand, axiom):
+    doc, needle = _NOT_GROUPS[axiom]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    argv = [subcommand, "--group", str(path)]
+    if subcommand == "reconstruct":
+        argv += ["--irrep", "standard", "--expectations",
+                 str(_write_expectations(tmp_path, np.diag([0.75, 0.25])))]
+    assert _fresh_modules(_refuse_cli(needle), argv) == "[]"
+
+
+@pytest.mark.parametrize("source", ["builtin:s3", "file"])
+def test_group_that_passes_loads_numpy(tmp_path, source):
+    # control: the probe above would notice numpy once the table passes
+    if source == "file":
+        source = str(tmp_path / "s3.json")
+        Path(source).write_text(json.dumps(catalog.s3_document()))
+    assert "'numpy'" in _fresh_modules(_RUN_CLI, ["group-check", "--group", source])
+
+
 @pytest.mark.parametrize("argv,loads", [
     (["sweep", "--k0=2", "--a-min=0", "--a-max=1", "--steps=5"], False),
     (["mzi", "--k0", "2", "--elements", "source,bs,detector"], False),
@@ -145,11 +196,11 @@ def test_every_export_resolves_to_its_home_module():
         getattr(rbw, "no_such_name")
 
 
-_NUMPY_FREE = {"relsim", "errors", "tolerance", "documents", "contraction"}
+_NUMPY_FREE = {"relsim", "errors", "tolerance", "documents", "contraction", "cayley"}
 
 
 # numpy nowhere, not even inside a function
-_NUMPY_NOWHERE = {"relsim", "errors", "tolerance", "documents"}
+_NUMPY_NOWHERE = {"relsim", "errors", "tolerance", "documents", "cayley"}
 
 
 def _imports(nodes, functions):
@@ -169,7 +220,7 @@ def _imports(nodes, functions):
 
 @pytest.mark.parametrize("module", sorted(_NUMPY_FREE) + ["cli"])
 def test_numpy_free_modules_import_no_numpy(module):
-    # relsim, errors, tolerance and documents anywhere; contraction (numpy only for
+    # relsim, errors, tolerance, documents and cayley anywhere; contraction (numpy only for
     # the dense `f` view) and cli at module level: numpy only where it is needed
     path = Path(rbw.__file__).with_name(f"{module}.py")
     for name, relative in _imports(ast.parse(path.read_text()).body,

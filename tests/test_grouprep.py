@@ -1,12 +1,15 @@
 """Tables, axioms, and unitary irrep checks."""
 
+import math
+import operator
+import random
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from rbw import catalog, grouprep
+from rbw import catalog, cayley, grouprep
 from rbw.errors import (
     DimensionMismatch,
     MissingIdentity,
@@ -567,6 +570,144 @@ def test_load_group_memory_stays_bounded():
         tracemalloc.stop()
     assert group.N == n and group.identity == "c0"
     assert peak < 20e6
+
+
+# ------------------------------------------------- Light's associativity test
+
+def cyclic_document(n, seed=None):
+    """Z_n with c<k> = k, in index order or, given a seed, shuffled."""
+    labels = [f"c{k}" for k in range(n)]
+    order = labels if seed is None else random.Random(seed).sample(labels, n)
+    return {"elements": order,
+            "mul": {f"c{i},c{j}": labels[(i + j) % n] for i in range(n) for j in range(n)}}
+
+
+def single_entry_corruptions(doc):
+    """doc with one mul entry deleted, or overwritten by each other element."""
+    for key in sorted(doc["mul"]):
+        for value in [None, *doc["elements"]]:
+            if value != doc["mul"][key]:
+                bad = {**doc, "mul": dict(doc["mul"])}
+                if value is None:
+                    del bad["mul"][key]
+                else:
+                    bad["mul"][key] = value
+                yield bad
+
+
+def random_loop_document(n, rng):
+    """A random table with identity "e" and unique two-sided inverses, shuffled
+    into a random element order; it is almost never associative."""
+    others = [f"x{k}" for k in range(1, n)]
+    rng.shuffle(others)
+    unpaired, inverse = list(others), {}
+    while unpaired:
+        g = unpaired.pop()
+        h = unpaired.pop() if unpaired and rng.random() < 0.7 else g
+        inverse[g], inverse[h] = h, g
+
+    def product(g, h):
+        if g == "e" or h == "e":
+            return h if g == "e" else g
+        return "e" if inverse[g] == h else rng.choice(others)
+    elements = ["e", *others]
+    rng.shuffle(elements)
+    return {"elements": elements,
+            "mul": {f"{g},{h}": product(g, h) for g in elements for h in elements}}
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """The tables the fallback scan runs on, recorded as they pass through."""
+    calls = []
+    real = cayley._first_nonassociative
+
+    def recorded(rows, e):
+        calls.append(rows)
+        return real(rows, e)
+    monkeypatch.setattr(cayley, "_first_nonassociative", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("doc", [catalog.s3_document(), dihedral_document(4, 0)],
+                         ids=["s3", "dihedral-8"])
+def test_every_single_entry_corruption_fails_like_the_loop_oracle(doc, scan_calls):
+    verdicts = set()
+    for bad in single_entry_corruptions(doc):
+        expected = loop_validate(bad)
+        assert expected is not None      # a group table has one entry per cell
+        verdicts.add(expected[0])
+        before = len(scan_calls)
+        with pytest.raises(expected[0]) as info:
+            load_group(bad)
+        assert str(info.value) == expected[1]
+        # the C-order scan runs once, and only for a table Light's test failed
+        assert len(scan_calls) - before == (expected[0] is NonAssociative)
+    assert verdicts == {NonClosed, MissingIdentity, MissingInverse, NonAssociative}
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_random_nonassociative_tables_fail_like_the_loop_oracle(n, scan_calls):
+    rng = random.Random(n)
+    failures = 0
+    for _ in range(30):
+        doc = random_loop_document(n, rng)
+        expected = loop_validate(doc)
+        if expected is None:
+            load_group(doc)
+            continue
+        assert expected[0] is NonAssociative
+        failures += 1
+        with pytest.raises(NonAssociative) as info:
+            load_group(doc)
+        assert str(info.value) == expected[1]
+    assert failures >= 25 and len(scan_calls) == failures
+
+
+def test_valid_tables_never_reach_the_scan(monkeypatch):
+    def refuse(rows, e):
+        raise AssertionError("the C-order scan ran on a group")
+    monkeypatch.setattr(cayley, "_first_nonassociative", refuse)
+    docs = [catalog.s3_document(), *(dihedral_document(m, seed) for m, seed in DIHEDRAL),
+            *(cyclic_document(n, seed) for n in (1, 2, 12, 64) for seed in (None, 1))]
+    for doc in docs:
+        assert load_group(doc).N == len(doc["elements"])
+
+
+def light_comparisons(monkeypatch, doc):
+    """(table entries compared, generators) for load_group(doc)."""
+    counts = {"entries": 0, "generators": 0}
+    real = operator.itemgetter
+
+    def counting(*items):
+        get = real(*items)
+        counts["generators"] += len(items) == len(doc["elements"])
+
+        def compare(row):
+            counts["entries"] += len(items)
+            return get(row)
+        return compare
+    monkeypatch.setattr(cayley, "itemgetter", counting)
+    load_group(doc)
+    return counts["entries"], counts["generators"]
+
+
+@pytest.mark.parametrize("n", [32, 100])
+def test_light_test_grows_like_n_squared(monkeypatch, n):
+    small, _ = light_comparisons(monkeypatch, cyclic_document(n))
+    large, _ = light_comparisons(monkeypatch, cyclic_document(2 * n))
+    assert large <= 4.5 * small
+
+
+@pytest.mark.parametrize("doc", [
+    *(cyclic_document(n, seed) for n in (12, 30, 64, 97) for seed in range(3)),
+    *(dihedral_document(m, seed) for m, seed in DIHEDRAL),
+    catalog.s3_document(),
+], ids=lambda doc: f"N{len(doc['elements'])}")
+def test_light_generating_set_is_logarithmic(monkeypatch, doc):
+    n = len(doc["elements"])
+    _, generators = light_comparisons(monkeypatch, doc)
+    assert 1 <= generators <= math.floor(math.log2(n)) + 1
 
 
 # ---------------------------------------------------------- first offenders
