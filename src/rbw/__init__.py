@@ -16,8 +16,8 @@ __version__ = "1.0.0"
 
 # home module of every re-exported name; a submodule is its own home
 _HOME = {
-    **{m: m for m in ("catalog", "cayley", "contraction", "grouprep", "mzi",
-                      "relsim", "selftest", "symmetry_state")},
+    **{m: m for m in ("catalog", "contraction", "grouprep", "mzi", "relsim",
+                      "selftest", "symmetry_state")},
     **dict.fromkeys(("ccr_check", "contract", "galilean_table", "jacobi_residual",
                      "poincare_table"), "contraction"),
     "RBWError": "errors",

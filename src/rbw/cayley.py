@@ -10,13 +10,14 @@ a document here before it imports numpy, so a document that is not a
 group is refused without it.
 
 Associativity is checked by Light's test (Clifford & Preston, *The
-Algebraic Theory of Semigroups* I, §1.2).  The elements s with
-(x*s)*y = x*(s*y) for all x, y are closed under the product, so it is
-enough to test a generating set.  The set is picked greedily in element
-order, each generator the first element that is not a product of those
-before it.  In a group each one at least doubles the subgroup they
-generate, so there are at most log2(N) generators and O(N^2 log N) steps,
-each a whole row compared at C speed.
+Algebraic Theory of Semigroups* I, §1.2).  The elements a with
+(a*b)*c = a*(b*c) for all b, c hold the identity and are closed under the
+product, so it is enough to test a generating set.  The set is picked
+greedily in element order, each generator the first element that is not a
+product of those before it.  In a group each one at least doubles the
+subgroup they generate, so there are at most log2(N) generators and
+O(N^2 log N) steps, each a whole row compared at C speed.  The same walk
+names the first offending triple in C order when there is one.
 """
 
 from __future__ import annotations
@@ -103,12 +104,10 @@ def check_table(document) -> CayleyTable:
                    else f"multiple inverses {[elements[h] for h in invs]}"))
         inverse.append(invs[0])
 
-    # Light's test: row (x*s) against row x read through row s, for every x
-    for s in _generators(rows, e):
-        through_s = itemgetter(*rows[s])
-        if any(rows[row[s]] != through_s(row) for row in rows):
-            a, b, c = (elements[i] for i in _first_nonassociative(rows, e))
-            raise NonAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    triple = _first_nonassociative(rows, e)
+    if triple is not None:
+        a, b, c = (elements[i] for i in triple)
+        raise NonAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
 
     return CayleyTable(elements=elements, index=index, rows=rows, identity=e,
                        inverse=tuple(inverse))
@@ -151,14 +150,18 @@ def _generators(rows, e: int):
                     new.append(y)
 
 
-def _first_nonassociative(rows, e: int) -> tuple[int, int, int]:
-    """(a, b, c) of the first triple in C order with (a*b)*c != a*(b*c).
+def _first_nonassociative(rows, e: int) -> tuple[int, int, int] | None:
+    """(a, b, c) of the first triple in C order with (a*b)*c != a*(b*c),
+    or None when the table is associative.
 
-    Row a passes when (a*b)*c = a*(b*c) for all b, c.  Rows that pass are
-    closed under the product, so the scan skips every a that is a product
-    of rows that passed before it: the first a it checks and fails is the
-    first offender's.  Call it only on a table that is not associative.
+    Light's test over the generating set of `_generators`: row a passes
+    when (a*b)*c = a*(b*c) for all b, c, and rows that pass are closed
+    under the product, so every row that is not a generator passes once
+    the generators before it have.  The generators come in element order,
+    so the first one that fails holds the first offender.
     """
+    # row a*b against row a read through row b; only N >= 2 has a
+    # generator, so each getter takes two or more items and returns a tuple
     through = [itemgetter(*row) for row in rows]
     for a in _generators(rows, e):
         ra = rows[a]
@@ -166,4 +169,4 @@ def _first_nonassociative(rows, e: int) -> tuple[int, int, int]:
             left, right = rows[ra[b]], through_b(ra)
             if left != right:
                 return a, b, next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
-    raise AssertionError("the table is associative")
+    return None

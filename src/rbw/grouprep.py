@@ -36,7 +36,6 @@ __all__ = [
     "Irrep",
     "ValidationReport",
     "load_group",
-    "group_from_table",
     "load_irrep",
     "load_irreps",
     "group_document",
@@ -63,8 +62,8 @@ class GroupSpec:
     Groups compare by identity, since the array fields have no single
     truth value under ``==``.
 
-    Construct through :func:`load_group` or :func:`group_from_table`,
-    whose table has passed the axioms; direct construction skips them.
+    Construct through :func:`load_group`, whose table has passed the
+    axioms; direct construction skips them.
     """
 
     elements: tuple[str, ...]
