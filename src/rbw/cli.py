@@ -18,8 +18,9 @@ Each subcommand imports the modules it uses when it runs.  `boost` and
 `scenario` run on the math-only `relsim` and `contract` on the exact
 `contraction`, so those three start without numpy.  `group-check` and
 `reconstruct` check a document's table with the stdlib-only `cayley`
-and load numpy only after the table passes.  The others load numpy; of
-them only `selftest` also loads `relsim`.
+and load numpy only after the table passes; `catalog` builds a
+`builtin:` document with numpy, on request, and it is checked like a
+file.  The others load numpy; of them only `selftest` also loads `relsim`.
 """
 
 from __future__ import annotations
@@ -105,34 +106,23 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _group_document(spec: str) -> dict:
-    """A group document, from `builtin:<name>` or a JSON file path."""
-    if spec.startswith("builtin:"):
-        from . import catalog
-        name = spec.split(":", 1)[1]
-        documents = catalog.builtin_documents()
-        if name not in documents:
-            raise UsageError(
-                f"unknown builtin group {name!r}; have {sorted(documents)}")
-        return documents[name]
-    return _load_json(spec)
-
-
 def _irreps(spec: str, name: str | None):
-    """The group of `spec` and its irreps by name, only `name` if given.
-    The table is checked before numpy is imported, so a document that is
-    not a group is refused without it."""
+    """The group of `spec`, `builtin:<name>` or a JSON file path, and its
+    irreps by name, only `name` if given.  The table is checked before
+    numpy is imported, so a document that is not a group is refused
+    without it."""
+    if spec.startswith("builtin:"):
+        from .catalog import builtin_document
+        document = builtin_document(spec.split(":", 1)[1])
+    else:
+        document = _load_json(spec)
     from .cayley import check_table
-    document = _group_document(spec)
     table = check_table(document)
-    from .grouprep import group_from_table, load_irreps
+    from .grouprep import group_from_table, load_irrep, load_irreps
     group = group_from_table(table)
-    irreps = load_irreps(document, group)
     if name is None:
-        return group, irreps
-    if name not in irreps:
-        raise UsageError(f"document has no irrep {name!r}; have {sorted(irreps)}")
-    return group, {name: irreps[name]}
+        return group, load_irreps(document, group)
+    return group, {name: load_irrep(document, name, group)}
 
 
 def parse_velocity(text: str, c: float) -> float:
@@ -283,7 +273,7 @@ def cmd_boost(args) -> int:
         return 0
     if args.t is None or args.x is None:
         raise UsageError("provide --t and --x, or --events FILE")
-    event = relsim.SpacetimeEvent(t=args.t, x=args.x, frame=args.frame)
+    event = relsim.SpacetimeEvent(t=args.t, x=args.x)
     _print_boosted(relsim.boost_event(event, boost), boost, args.precision)
     return 0
 
@@ -474,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="light speed in km/s (default 300000)")
     b.add_argument("--t", type=float, metavar="T", help="event time in s")
     b.add_argument("--x", type=float, metavar="X", help="event position in km")
-    b.add_argument("--frame", default="lab", metavar="NAME")
     b.add_argument("--events", metavar="FILE",
                    help="JSON {frame, events: [{label, t, x}]}")
     b.add_argument("--classes", action="store_true",

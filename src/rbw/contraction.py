@@ -143,7 +143,7 @@ class BracketTable:
         try:
             return self.generators.index(g)
         except ValueError:
-            raise UnknownGenerator(g) from None
+            raise UnknownGenerator(f"{g!r} is not a generator of the {self.name} table") from None
 
     def bracket(self, x: str, y: str) -> Combo:
         """[x, y] as a linear combination of the table's generators."""

@@ -35,6 +35,7 @@ class DimensionMismatch(RBWError):
 
 class UnknownElement(RBWError, KeyError):
     """A group-element label is not part of the group."""
+    __str__ = Exception.__str__     # the message as written, not KeyError's repr
 
 
 class NotHermitian(RBWError):
@@ -78,6 +79,7 @@ class MixedFrames(RBWError):
 
 class UnknownGenerator(RBWError, KeyError):
     """A generator label is not part of the bracket table."""
+    __str__ = Exception.__str__     # the message as written, not KeyError's repr
 
 
 class MNotCentral(RBWError):

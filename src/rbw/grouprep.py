@@ -81,13 +81,13 @@ class GroupSpec:
             return self.elements[self.table[self.index[g], self.index[h]]]
         except KeyError:
             missing = g if g not in self.index else h
-            raise UnknownElement(missing) from None
+            raise UnknownElement(f"{missing!r} is not an element of the group") from None
 
     def inv(self, g: str) -> str:
         try:
             return self.elements[self.inverse[self.index[g]]]
         except KeyError:
-            raise UnknownElement(g) from None
+            raise UnknownElement(f"{g!r} is not an element of the group") from None
 
     def __contains__(self, g: str) -> bool:
         return g in self.index
@@ -113,8 +113,8 @@ class Irrep:
         mats = [np.asarray(self.matrix(g)) for g in self.group.elements]
         for g, m in zip(self.group.elements, mats):
             if m.shape != (self.n, self.n):
-                raise DimensionMismatch(
-                    f"matrix for {g!r} has shape {m.shape}, expected {(self.n, self.n)}")
+                raise DimensionMismatch(f"irrep {self.name!r} matrix for {g!r} has shape "
+                                        f"{m.shape}, expected {(self.n, self.n)}")
         stack = np.array(mats)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
@@ -124,7 +124,7 @@ class Irrep:
         try:
             return self.D[g]
         except KeyError:
-            raise UnknownElement(g) from None
+            raise UnknownElement(f"irrep {self.name!r} has no matrix for {g!r}") from None
 
     def matrix_inv(self, g: str) -> np.ndarray:
         """Matrix of the inverse element."""
@@ -187,8 +187,11 @@ def pair_from_complex(z: complex) -> list[float]:
 
 
 def matrix_from_pairs(rows) -> np.ndarray:
-    return np.array([[complex_from_pair(z) for z in documents.checked(row, list, "matrix row")]
-                     for row in documents.checked(rows, list, "matrix")], dtype=complex)
+    rows = [[complex_from_pair(z) for z in documents.checked(row, list, "matrix row")]
+            for row in documents.checked(rows, list, "matrix")]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"matrix rows have lengths {[len(row) for row in rows]}")
+    return np.array(rows, dtype=complex)
 
 
 def pairs_from_matrix(m: np.ndarray) -> list[list[list[float]]]:
@@ -229,7 +232,7 @@ def load_irrep(document, name: str, group: GroupSpec | None = None) -> Irrep:
         group = load_group(doc)
     irreps = _irrep_entries(doc)
     if name not in irreps:
-        raise ValueError(f"document has no irrep named {name!r}")
+        raise ValueError(f"document has no irrep {name!r}; have {sorted(irreps)}")
     what = f"irrep {name!r}"
     entry = documents.checked(irreps[name], dict, what)
     n = documents.count(documents.field(entry, "n", what), f"{what}: n")
@@ -238,8 +241,11 @@ def load_irrep(document, name: str, group: GroupSpec | None = None) -> Irrep:
     matrices = {}
     for g, rows in matrices_doc.items():
         if g not in group:
-            raise UnknownElement(g)
-        matrices[g] = matrix_from_pairs(rows)
+            raise UnknownElement(f"{what} has a matrix for {g!r}, which is not a group element")
+        try:
+            matrices[g] = matrix_from_pairs(rows)
+        except ValueError as exc:
+            raise ValueError(f"{what} matrix for {g!r}: {exc}") from None
     missing = [g for g in group.elements if g not in matrices]
     if missing:
         raise ValueError(f"irrep {name!r} is missing matrices for {missing}")

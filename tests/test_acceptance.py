@@ -151,7 +151,7 @@ def _all_builtin_irreps():
     from rbw.grouprep import Irrep, load_irreps
     out = [Irrep(group=trivial, n=1,
                  D={"e": np.eye(1, dtype=complex)}, name="trivial")]
-    out.extend(load_irreps(catalog.builtin_documents()["z2"]).values())
+    out.extend(load_irreps(catalog.builtin_document("z2")).values())
     out.extend(catalog.s3_irreps().values())
     return out
 

@@ -324,6 +324,13 @@ def test_boost_bad_velocity_token(capsys):
     assert "bad velocity" in err
 
 
+def test_boost_has_no_frame_option(capsys):
+    # the single-event path never printed the frame, so the option is gone
+    code, out, err = run(capsys, "boost", "--v", "0.6c", "--t", "0", "--x", "1", "--frame", "f")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --frame f" in err
+
+
 def test_boost_requires_event_or_file(capsys):
     code, _, err = run(capsys, "boost", "--v", "0.6c")
     assert code == 1
@@ -619,10 +626,57 @@ def test_group_check_unknown_irrep(capsys):
     assert "no irrep" in err
 
 
+BUILTINS = ["s3", "trivial", "z2"]
+
+
 def test_group_check_unknown_builtin(capsys):
     code, _, err = run(capsys, "group-check", "--group", "builtin:q8")
     assert code == 1
     assert "unknown builtin" in err
+    # the message lists every builtin, so the parametrization below misses none
+    assert err == f"error: unknown builtin group 'q8'; have {BUILTINS}\n"
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_group_check_every_builtin(capsys, name):
+    code, out, err = run(capsys, "group-check", "--group", f"builtin:{name}")
+    assert (code, err) == (0, "")
+    header, *reports = out.splitlines()
+    assert header.startswith("group ok: ") and header.endswith(f" {len(reports)} irrep(s)")
+    assert reports and all(line.startswith("irrep ") and line.endswith(" OK")
+                           for line in reports)
+
+
+def test_group_check_builtin_s3_checks_the_table_once(capsys, monkeypatch):
+    from rbw import cayley, grouprep
+    calls = []
+
+    def counting(document, check=cayley.check_table):
+        calls.append(document)
+        return check(document)
+
+    monkeypatch.setattr(cayley, "check_table", counting)
+    monkeypatch.setattr(grouprep, "check_table", counting)
+    assert run(capsys, "group-check", "--group", "builtin:s3")[0] == 0
+    assert len(calls) == 1
+
+
+def test_irrep_option_loads_only_that_irrep(capsys, tmp_path):
+    document = _z2(irreps={
+        "good": {"n": 1, "matrices": {"e": [[[1, 0]]], "r": [[[-1, 0]]]}},
+        "bad": {"n": 1, "matrices": {"e": [[[1, 0]]], "r": [[[-1, 0]], [[0, 0]]]}}})
+    group = tmp_path / "z2.json"
+    group.write_text(json.dumps(document))
+    expectations = tmp_path / "expectations.json"
+    expectations.write_text(json.dumps({"irrep": "good", "values": {"e": [1, 0], "r": [-1, 0]}}))
+
+    code, out, _ = run(capsys, "group-check", "--group", str(group), "--irrep", "good")
+    assert code == 0 and "irrep good:" in out and "bad" not in out
+    code, out, _ = run(capsys, "reconstruct", "--group", str(group), "--irrep", "good",
+                       "--expectations", str(expectations))
+    assert code == 0 and json.loads(out)["eigenvalues"] == [1.0]
+    code, out, err = run(capsys, "group-check", "--group", str(group))
+    assert (code, out) == (1, "") and err.startswith("error: irrep 'bad' matrix for 'r'")
 
 
 def test_group_check_corrupted_table_is_validation_error(capsys, tmp_path):
@@ -1361,11 +1415,16 @@ def test_selftest_failure_exits_two(capsys, monkeypatch):
 # ------------------------------------------------------ malformed documents
 
 def _z2(**changes):
-    return {**catalog.builtin_documents()["z2"], **changes}
+    return {**catalog.builtin_document("z2"), **changes}
 
 
 def _z2_sign(r_entry):
     return _z2(irreps={"sign": {"n": 1, "matrices": {"e": [[[1, 0]]], "r": [[r_entry]]}}})
+
+
+def _z2_sign_matrices(**changes):
+    matrices = {"e": [[[1, 0]]], "r": [[[-1, 0]]], **changes}
+    return _z2(irreps={"sign": {"n": 1, "matrices": matrices}})
 
 
 _RECONSTRUCT_Z2 = ["reconstruct", "--group", "builtin:z2", "--irrep", "sign", "--expectations"]
@@ -1403,6 +1462,14 @@ _RECONSTRUCT_Z2 = ["reconstruct", "--group", "builtin:z2", "--irrep", "sign", "-
      "wave number must lie between"),
     (["boost", "--v", "0.6c", "--events"], {"events": [{"t": 0, "x": 0}, {"t": 1e308, "x": 0}]},
      "must be finite"),
+    (["group-check", "--group"], _z2_sign_matrices(x=[[[1, 0]]]),
+     "irrep 'sign' has a matrix for 'x', which is not a group element"),
+    (["group-check", "--group"], _z2_sign_matrices(e=[[[1, 0], [0, 0]], [[0, 0]]]),
+     "irrep 'sign' matrix for 'e': matrix rows have lengths [2, 1]"),
+    (["group-check", "--group"], _z2_sign_matrices(r=[[[-1, 0]], 3]),
+     "irrep 'sign' matrix for 'r': matrix row must be a JSON array, got int"),
+    (["group-check", "--group"], _z2_sign_matrices(r=[[[float("nan"), 0]]]),
+     "irrep 'sign' matrix for 'r': [re, im] pair entry must be a finite number, got nan"),
     *[(argv, doc(bad), "must be a finite number")
       for argv, doc in [
           (["boost", "--v", "0.6c", "--events"], lambda t: {"events": [{"t": t, "x": 1000}]}),
@@ -1415,7 +1482,8 @@ _RECONSTRUCT_Z2 = ["reconstruct", "--group", "builtin:z2", "--irrep", "sign", "-
         "inf-matrix", "no-values", "list-values", "nan-average", "list-expectations",
         "list-events-document", "object-events", "string-pipeline-elements",
         "bool-irrep-n", "null-frame", "number-frame", "nan-label", "overflowing-k0",
-        "overflowing-event",
+        "overflowing-event", "unknown-matrix-element", "ragged-matrix", "non-array-matrix-row",
+        "nan-matrix-names-irrep-and-element",
         *[f"{bad}-{where}" for where in ("event-t", "k0", "matrix-entry", "average")
           for bad in ("bool", "string", "huge")]])
 def test_malformed_document_is_one_line_error(capsys, tmp_path, argv, doc, needle):

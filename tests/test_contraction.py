@@ -211,6 +211,16 @@ def test_self_bracket_and_unknowns():
         table.bracket("J1", "M")
 
 
+def test_unknown_generator_message_reads_as_a_sentence():
+    # a KeyError subclass, yet str() is the message rather than its repr
+    with pytest.raises(KeyError) as info:
+        poincare_table().bracket("X1", "J1")
+    assert str(info.value) == "'X1' is not a generator of the poincare table"
+    with pytest.raises(UnknownGenerator) as info:
+        with_flipped_sign(poincare_table(), "T1", "T2")
+    assert str(info.value) == "no stored bracket for (T1, T2)"
+
+
 def test_antisymmetry_everywhere():
     table = poincare_table()
     for x, y in itertools.combinations(table.generators, 2):

@@ -105,6 +105,16 @@ def test_unknown_element_lookups():
         resolution_identity(irr, "nope")
 
 
+def test_unknown_element_message_reads_as_a_sentence():
+    # a KeyError subclass, yet str() is the message rather than its repr
+    with pytest.raises(KeyError) as info:
+        catalog.z2_group().inv("nope")
+    assert str(info.value) == "'nope' is not an element of the group"
+    with pytest.raises(UnknownElement) as info:
+        catalog.z2_irreps()["sign"].matrix("nope")
+    assert str(info.value) == "irrep 'sign' has no matrix for 'nope'"
+
+
 # ----------------------------------------------------------------- bad input
 
 def test_corrupted_table_rejected():
@@ -156,7 +166,7 @@ def test_comma_in_label_rejected():
 
 
 def test_wrong_matrix_shape():
-    doc = catalog.builtin_documents()["z2"]
+    doc = catalog.builtin_document("z2")
     doc = {**doc, "irreps": {"bad": {"n": 2, "matrices": {
         "e": [[[1, 0]]], "r": [[[1, 0]]]}}}}
     with pytest.raises(DimensionMismatch):
@@ -165,14 +175,14 @@ def test_wrong_matrix_shape():
 
 def test_bool_irrep_dimension_rejected():
     # bool is an int subclass; n = true must not pass as n = 1
-    doc = {**catalog.builtin_documents()["z2"],
+    doc = {**catalog.builtin_document("z2"),
            "irreps": {"sign": {"n": True, "matrices": {"e": [[[1, 0]]], "r": [[[-1, 0]]]}}}}
     with pytest.raises(ValueError, match="positive integer"):
         load_irrep(doc, "sign")
 
 
 def test_missing_matrix():
-    doc = {**catalog.builtin_documents()["z2"],
+    doc = {**catalog.builtin_document("z2"),
            "irreps": {"partial": {"n": 1, "matrices": {"e": [[[1, 0]]]}}}}
     with pytest.raises(ValueError):
         load_irrep(doc, "partial")
@@ -790,7 +800,7 @@ def test_non_finite_irrep_fails_verification(bad):
 
 def test_huge_irrep_entry_fails_verification_quietly():
     # 1e308 is a finite number, so it loads; its products overflow
-    doc = {**catalog.builtin_documents()["z2"],
+    doc = {**catalog.builtin_document("z2"),
            "irreps": {"sign": {"n": 1, "matrices": {"e": [[[1, 0]]], "r": [[[1e308, 0]]]}}}}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -801,7 +811,7 @@ def test_huge_irrep_entry_fails_verification_quietly():
 @pytest.mark.parametrize("pair", [["NaN", 0], [0, "inf"], [float("-inf"), 0],
                                   [True, False], ["-1", "0"], [10 ** 400, 0]])
 def test_non_finite_matrix_entry_rejected_at_load(pair):
-    doc = {**catalog.builtin_documents()["z2"],
+    doc = {**catalog.builtin_document("z2"),
            "irreps": {"sign": {"n": 1, "matrices": {"e": [[[1, 0]]], "r": [[pair]]}}}}
     with pytest.raises(ValueError, match="finite"):
         load_irrep(doc, "sign")

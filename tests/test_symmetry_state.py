@@ -78,9 +78,8 @@ def test_forward_dimension_check():
 # ----------------------------------------------------------- reconstruction
 
 def test_trivial_group_reconstruction():
-    docs = catalog.builtin_documents()
     from rbw.grouprep import load_irreps
-    irr = load_irreps(docs["trivial"])["trivial"]
+    irr = load_irreps(catalog.builtin_document("trivial"))["trivial"]
     es = ExpectationSet(irrep=irr, values={"e": 1.0 + 0j})
     rho = reconstruct_density(es)
     assert np.allclose(rho, [[1.0]], atol=1e-15)
