@@ -12,7 +12,8 @@ One subcommand per module operation family:
     selftest      built-in verification suite
 
 Exit status: 0 success, 1 bad usage or invalid input, 2 a numerical
-contract was violated (residual over tolerance, failed check).
+contract was violated (residual over tolerance, failed check).  Of the
+errors, only `rbw.errors.ContractViolation` exits 2; every other exits 1.
 
 Each subcommand imports the modules it uses when it runs.  `boost` and
 `scenario` run on the math-only `relsim` and `contract` on the exact
@@ -31,22 +32,10 @@ import math
 import sys
 import warnings
 
-from .errors import (
-    InconsistentExpectations,
-    MNotCentral,
-    NonOrthonormalBasis,
-    NotHermitian,
-    NotUnitary,
-    RBWError,
-    UsageError,
-)
+from .errors import ContractViolation, RBWError, UsageError
 from .tolerance import default_tolerance
 
 __all__ = ["build_parser", "main"]
-
-# errors meaning "the numbers broke a contract" rather than "bad input"
-_NUMERIC_ERRORS = (InconsistentExpectations, NotHermitian, NotUnitary,
-                   NonOrthonormalBasis, MNotCentral)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -504,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     # MemoryError: a grid too large to allocate, e.g. rbw sweep --steps=10**15
     except (RBWError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _NUMERIC_ERRORS) else 1
+        return 2 if isinstance(exc, ContractViolation) else 1
 
 
 if __name__ == "__main__":

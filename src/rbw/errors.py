@@ -5,6 +5,10 @@ class RBWError(Exception):
     """Base class for all validation errors raised by this package."""
 
 
+class ContractViolation(RBWError, ValueError):
+    """A residual over tolerance or a broken identity; the CLI's only exit-2 error."""
+
+
 # ---------------------------------------------------------------- groups
 
 class GroupValidationError(RBWError):
@@ -38,19 +42,19 @@ class UnknownElement(RBWError, KeyError):
     __str__ = Exception.__str__     # the message as written, not KeyError's repr
 
 
-class NotHermitian(RBWError):
+class NotHermitian(ContractViolation):
     """A matrix required to be hermitian is not, beyond tolerance."""
 
 
-class NotUnitary(RBWError):
+class NotUnitary(ContractViolation):
     """A matrix required to be unitary is not, beyond tolerance."""
 
 
-class NonOrthonormalBasis(RBWError):
+class NonOrthonormalBasis(ContractViolation):
     """A ket list required to be orthonormal is not, beyond tolerance."""
 
 
-class InconsistentExpectations(RBWError):
+class InconsistentExpectations(ContractViolation):
     """Expectation values are not self-consistent for the given irrep."""
 
 
@@ -82,7 +86,7 @@ class UnknownGenerator(RBWError, KeyError):
     __str__ = Exception.__str__     # the message as written, not KeyError's repr
 
 
-class MNotCentral(RBWError):
+class MNotCentral(ContractViolation):
     """The mass generator fails to commute with the contracted algebra."""
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import documents
 from .cayley import CayleyTable, check_table
 from .errors import DimensionMismatch, UnknownElement
-from .tolerance import default_tolerance
+from .tolerance import default_tolerance, exceeds
 
 __all__ = [
     "GroupSpec",
@@ -289,7 +289,6 @@ def verify_irrep(irrep: Irrep) -> ValidationReport:
     Numerical failures, NaN included, are collected in the report rather
     than raised; matrix shapes were checked when the irrep was made.
     """
-    tol = default_tolerance()
     group, n = irrep.group, irrep.n
     d = irrep.stacked()
 
@@ -302,17 +301,11 @@ def verify_irrep(irrep: Irrep) -> ValidationReport:
         ortho = orthogonality_residual(irrep)
         resol = float(np.max(np.abs(_resolve_all(irrep, prod) - d)))
 
-    failures = []
-    if not unit <= tol:
-        failures.append(f"unitarity residual {unit:.3e} exceeds {tol:.1e}")
-    if not homo <= tol:
-        failures.append(f"homomorphism residual {homo:.3e} exceeds {tol:.1e}")
-    if not abs(indicator - 1.0) <= tol:
-        failures.append(f"character norm {indicator:.6f} != 1 (not irreducible)")
-    if not ortho <= tol:
-        failures.append(f"orthogonality residual {ortho:.3e} exceeds {tol:.1e}")
-    if not resol <= tol:
-        failures.append(f"resolution residual {resol:.3e} exceeds {tol:.1e}")
+    notes = (exceeds(unit, "unitarity residual"),
+             exceeds(homo, "homomorphism residual"),
+             exceeds(abs(indicator - 1.0), "|character norm - 1|"),
+             exceeds(ortho, "orthogonality residual"),
+             exceeds(resol, "resolution residual"))
 
     return ValidationReport(
         name=irrep.name, n=n, N=group.N,
@@ -321,8 +314,8 @@ def verify_irrep(irrep: Irrep) -> ValidationReport:
         irreducibility_indicator=indicator,
         orthogonality_residual=ortho,
         resolution_residual=resol,
-        tolerance=tol,
-        failures=tuple(failures),
+        tolerance=default_tolerance(),
+        failures=tuple(note for note in notes if note is not None),
     )
 
 

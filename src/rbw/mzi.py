@@ -28,8 +28,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import documents
-from .errors import MalformedPipeline
-from .tolerance import default_tolerance
+from .errors import MalformedPipeline, NotUnitary
+from .tolerance import require
 
 __all__ = [
     "Element",
@@ -185,13 +185,6 @@ def _phase_array(phase_values: Iterable[float], k0: float) -> np.ndarray:
     return a
 
 
-def _require_unit_norm(residual: float) -> None:
-    """Fail unless |norm^2 - 1| is within tolerance; checked inputs pass."""
-    tol = default_tolerance()
-    if not residual <= tol:
-        raise ValueError(f"ket |norm^2 - 1| = {residual:.6g} exceeds the tolerance {tol:g}")
-
-
 # ----------------------------------------------------------------- pipeline
 
 @functools.lru_cache(maxsize=64)
@@ -270,7 +263,7 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
 
     clicks = ClickDistribution(p_D1=float(abs(ket[0]) ** 2),
                                p_D2=float(abs(ket[1]) ** 2))
-    _require_unit_norm(abs(clicks.p_D1 + clicks.p_D2 - 1.0))
+    require(abs(clicks.p_D1 + clicks.p_D2 - 1.0), "ket |norm^2 - 1|", NotUnitary)
     return PipelineResult(ket=ket, clicks=clicks, stages=tuple(stages))
 
 
@@ -279,7 +272,7 @@ def expectation_T(ket: np.ndarray, a: float, k0: float) -> complex:
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     if ket.shape != (2,):
         raise ValueError(f"ket must have two components, got {ket.shape}")
-    _require_unit_norm(abs(np.vdot(ket, ket).real - 1.0))
+    require(abs(np.vdot(ket, ket).real - 1.0), "ket |norm^2 - 1|")
     return complex(np.vdot(ket, translation_op(a, k0) @ ket))
 
 
@@ -336,7 +329,8 @@ def sweep_rows(k0: float, phase_values: Iterable[float]) -> np.ndarray:
     t_diag = _translation_phases(a, k0).T[:, :, None]
     ket = q_dag @ (t_diag * arm[:, None])
     clicks = np.abs(ket[:, :, 0]) ** 2
-    _require_unit_norm(float(np.abs(clicks.sum(axis=1) - 1.0).max(initial=0.0)))
+    norm_residual = float(np.abs(clicks.sum(axis=1) - 1.0).max(initial=0.0))
+    require(norm_residual, "ket |norm^2 - 1|", NotUnitary)
     t_avg = (ket.conj().swapaxes(1, 2) @ (t_diag * ket))[:, 0, 0]
 
     return np.column_stack([a, clicks, t_avg.real, t_avg.imag])

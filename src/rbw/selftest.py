@@ -10,6 +10,7 @@ the test suite, so the suite doubles as a quick field diagnostic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import catalog, contraction, mzi, relsim, symmetry_state
 from .errors import GroupValidationError
-from .grouprep import load_group, orthogonality_residual, verify_irrep
+from .grouprep import Irrep, load_group, orthogonality_residual, verify_irrep
 
 __all__ = ["CheckFailed", "CheckResult", "all_checks", "run_checks"]
 
@@ -355,24 +356,30 @@ def check_algebra_galilean() -> str:
 
 # ------------------------------------------------------------- group checks
 
+@functools.cache
+def _s3_irreps() -> dict[str, Irrep]:
+    """S3's irreps, built and parsed once per run: run_checks clears this."""
+    return catalog.s3_irreps()
+
+
 @_check("group-orthogonality", "orthogonality residual over the permutation-group irreps")
 def check_group_orthogonality() -> str:
     worst = max(orthogonality_residual(irr)
-                for irr in catalog.s3_irreps().values())
+                for irr in _s3_irreps().values())
     _need(worst < 1e-10, f"orthogonality residual {worst:.3e}")
     return f"worst residual {worst:.2e} over three irreps"
 
 
 @_check("group-resolution", "resolution of group elements through the irrep sum")
 def check_group_resolution() -> str:
-    worst = verify_irrep(catalog.s3_irreps()["standard"]).resolution_residual
+    worst = verify_irrep(_s3_irreps()["standard"]).resolution_residual
     _need(worst < 1e-10, f"resolution residual {worst:.3e}")
     return f"worst residual {worst:.2e} over all six elements"
 
 
 @_check("group-reconstruction", "state reconstruction roundtrip on the 2-dim irrep")
 def check_group_reconstruction() -> str:
-    irr = catalog.s3_irreps()["standard"]
+    irr = _s3_irreps()["standard"]
     # the first eight normal draws of np.random.default_rng(1234), written out
     # so that the check needs no numpy.random
     a = np.array([[-1.6038368053963015 + 0.8637438913233318j,
@@ -410,6 +417,7 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     else:
         ids = list(_REGISTRY)
 
+    _s3_irreps.cache_clear()
     results = []
     for check_id in ids:
         desc, fn = _REGISTRY[check_id]

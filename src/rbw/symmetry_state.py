@@ -31,7 +31,7 @@ from .errors import (
     NotUnitary,
 )
 from .grouprep import Irrep, complex_from_pair, pair_from_complex, pairs_from_matrix
-from .tolerance import PHYSICALITY_THRESHOLD, default_tolerance
+from .tolerance import PHYSICALITY_THRESHOLD, default_tolerance, require
 
 __all__ = [
     "ExpectationSet",
@@ -147,10 +147,8 @@ def reconstruct_density(expectations: ExpectationSet) -> np.ndarray:
 
 # ----------------------------------------------------------------- spectral
 
-def _require_hermitian(rho: np.ndarray, tol: float) -> None:
-    herm_residual = float(np.abs(rho - rho.conj().T).max())
-    if not herm_residual <= tol:   # NaN fails too
-        raise NotHermitian(f"max |rho - rho^dag| = {herm_residual:.3e}")
+def _require_hermitian(rho: np.ndarray) -> None:
+    require(float(np.abs(rho - rho.conj().T).max()), "max |rho - rho^dag|", NotHermitian)
 
 
 @functools.cmp_to_key
@@ -172,7 +170,7 @@ def eigendecompose(rho: np.ndarray) -> list[tuple[float, np.ndarray]]:
     entries within 1e-13 counting as equal, so the output is deterministic.
     """
     rho = np.asarray(rho, dtype=complex)
-    _require_hermitian(rho, default_tolerance())
+    _require_hermitian(rho)
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
     weights = w.tolist()
     level, keyed = 0, []
@@ -200,17 +198,15 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistr
     closes across +-pi under it, and a phase within it of -pi counts as +pi.
     So phases closer than 3 r are one outcome: the resolution limit.
     """
-    tol = default_tolerance()
     rho = np.asarray(rho, dtype=complex)
     symmetry = np.asarray(symmetry, dtype=complex)
     if rho.shape != symmetry.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(
             f"state {rho.shape} vs operator {symmetry.shape}")
     n = rho.shape[0]
-    _require_hermitian(rho, tol)
+    _require_hermitian(rho)
     unit_residual = float(np.abs(symmetry @ symmetry.conj().T - np.eye(n)).max())
-    if not unit_residual <= tol:
-        raise NotUnitary(f"max |U U^dag - I| = {unit_residual:.3e}")
+    require(unit_residual, "max |U U^dag - I|", NotUnitary)
 
     # A unitary is normal: eig's columns span its orthogonal eigenspaces but
     # can be skewed within a degenerate one, or between close eigenvalues of a
@@ -243,17 +239,14 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistr
 
 def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray]) -> np.ndarray:
     """Coefficients ⟨basis_i|zeta⟩ of a ket in an orthonormal basis."""
-    tol = default_tolerance()
     zeta = np.asarray(zeta_ket, dtype=complex).reshape(-1)
     basis = np.column_stack([np.asarray(b, dtype=complex).reshape(-1)
                              for b in symmetry_basis])
     if basis.shape[0] != zeta.shape[0]:
         raise DimensionMismatch(
             f"ket has dimension {zeta.shape[0]}, basis vectors {basis.shape[0]}")
-    gram_residual = float(np.max(np.abs(basis.conj().T @ basis
-                                        - np.eye(basis.shape[1]))))
-    if not gram_residual <= tol:
-        raise NonOrthonormalBasis(f"max |<b_i|b_j> - delta_ij| = {gram_residual:.3e}")
+    gram = basis.conj().T @ basis - np.eye(basis.shape[1])
+    require(float(np.abs(gram).max()), "max |<b_i|b_j> - delta_ij|", NonOrthonormalBasis)
     return basis.conj().T @ zeta
 
 

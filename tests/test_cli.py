@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rbw
-from rbw import catalog, cli, selftest, symmetry_state, tolerance
+from rbw import catalog, cli, errors, selftest, symmetry_state, tolerance
 from rbw.grouprep import Irrep, group_document
 
 
@@ -252,6 +252,56 @@ def test_tolerance_has_one_knob():
              if arg.arg in ("tol", "validate")]
     assert knobs == []
     assert not hasattr(tolerance, "resolve")
+
+
+def _source_functions():
+    """(module file, function) for every function in the package."""
+    for path in sorted(Path(rbw.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                yield path.name, node
+
+
+def _reads_tolerance(node):
+    return any(isinstance(n, ast.Name) and n.id == "tol"
+               or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "default_tolerance"
+               for n in ast.walk(node))
+
+
+def test_tolerance_comparisons_fail_closed():
+    # `residual <= tol` is false for NaN, so NaN fails; `residual > tol` is
+    # false for NaN too, so a guard written with it lets NaN pass
+    compares = {(name, node.lineno, tuple(type(op).__name__ for op in node.ops),
+                 _reads_tolerance(node.left))
+                for name, function in _source_functions() for node in ast.walk(function)
+                if isinstance(node, ast.Compare) and _reads_tolerance(node)}
+    assert ("tolerance.py", "LtE") in {(name, ops[0]) for name, _, ops, _ in compares}
+    assert [c for c in compares if c[2] != ("LtE",) or c[3]] == []
+
+
+# what a `try` may call when it turns a ValueError into another error: parsers
+# of text and documents, none of which runs a residual check
+_PARSERS = {"open", "load", "float", "int", "Fraction", "split", "index", "append",
+            "Element", "matrix_from_pairs", "run_checks"}
+
+
+def _catches_value_error(handler):
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(getattr(name, "id", None) == "ValueError" for name in caught)
+
+
+def test_no_value_error_handler_wraps_a_guard():
+    # a contract violation is a ValueError too: a handler around a guard would
+    # turn its exit 2 into exit 1.  cli.main is where every error gets its code.
+    calls = {(name, function.name, getattr(call.func, "id", None) or call.func.attr)
+             for name, function in _source_functions()
+             if (name, function.name) != ("cli.py", "main")
+             for node in ast.walk(function)
+             if isinstance(node, ast.Try) and any(map(_catches_value_error, node.handlers))
+             for call in ast.walk(ast.Module(body=node.body, type_ignores=[]))
+             if isinstance(call, ast.Call)}
+    assert ("tolerance.py", "default_tolerance", "float") in calls
+    assert [c for c in calls if c[2] not in _PARSERS] == []
 
 
 def test_unrecognized_flag(capsys):
@@ -707,9 +757,40 @@ def test_mzi_norm_failure_names_the_residual_and_tolerance(capsys, monkeypatch):
     monkeypatch.setenv("RBW_TOLERANCE", "1e-20")
     code, out, err = run(capsys, "mzi", "--k0", "2", "--elements",
                          "source,bs,mirrors,phase:0.3,bs,detector")
-    assert code == 1
+    assert code == 2
     assert out == ""
     assert err == "error: ket |norm^2 - 1| = 2.22045e-16 exceeds the tolerance 1e-20\n"
+
+
+def test_sweep_norm_failure_exits_2(capsys, monkeypatch):
+    # one RBW_TOLERANCE, one exit code: group-check, mzi and sweep all exit 2
+    monkeypatch.setenv("RBW_TOLERANCE", "1e-20")
+    code, out, err = run(capsys, "sweep", "--k0", "2", "--a-min", "0", "--a-max", "1",
+                         "--steps", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: ket |norm^2 - 1| = 4.44089e-16 exceeds the tolerance 1e-20\n"
+
+
+_ERROR_CLASSES = sorted((c for c in vars(errors).values()
+                         if isinstance(c, type) and issubclass(c, errors.RBWError)),
+                        key=lambda c: c.__name__)
+
+
+def test_contract_violations_are_the_numerical_errors():
+    assert issubclass(errors.ContractViolation, ValueError)
+    assert {c.__name__ for c in _ERROR_CLASSES if issubclass(c, errors.ContractViolation)} == {
+        "ContractViolation", "InconsistentExpectations", "MNotCentral",
+        "NonOrthonormalBasis", "NotHermitian", "NotUnitary"}
+
+
+@pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, error):
+    def fail(args):
+        raise error("broken")
+    monkeypatch.setattr(cli, "cmd_scenario", fail)
+    code, out, err = run(capsys, "scenario")
+    assert code == (2 if issubclass(error, errors.ContractViolation) else 1)
+    assert (out, err) == ("", "error: broken\n")
 
 
 def test_group_check_honors_env_tolerance(capsys, monkeypatch):

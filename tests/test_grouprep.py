@@ -798,6 +798,23 @@ def test_non_finite_irrep_fails_verification(bad):
     assert len(report.failures) >= 3
 
 
+def test_near_irrep_notes_show_the_residual_and_tolerance(monkeypatch):
+    # D(r) off by 5e-10: the character-norm note once read
+    # "character norm 1.000000 != 1 (not irreducible)"
+    monkeypatch.delenv("RBW_TOLERANCE", raising=False)
+    sign = catalog.z2_irreps()["sign"]
+    irr = Irrep(group=sign.group, n=1, name="sign",
+                D={"e": np.array([[1.0 + 0j]]), "r": np.array([[-(1 + 5e-10) + 0j]])})
+    report = verify_irrep(irr)
+    assert report.failures == (
+        "unitarity residual = 1e-09 exceeds the tolerance 1e-10",
+        "homomorphism residual = 1e-09 exceeds the tolerance 1e-10",
+        "|character norm - 1| = 5e-10 exceeds the tolerance 1e-10",
+        "orthogonality residual = 5e-10 exceeds the tolerance 1e-10",
+        "resolution residual = 5e-10 exceeds the tolerance 1e-10",
+    )
+
+
 def test_huge_irrep_entry_fails_verification_quietly():
     # 1e308 is a finite number, so it loads; its products overflow
     doc = {**catalog.builtin_document("z2"),

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from rbw import selftest
+from rbw import catalog, selftest
 
 
 def test_every_check_passes():
@@ -52,6 +52,19 @@ def test_negative_control_fails_when_the_validator_crashes(monkeypatch):
     [result] = selftest.run_checks(["group-negative-control"])
     assert not result.ok
     assert result.detail == "TypeError: validator bug"
+
+
+def test_s3_irreps_are_loaded_once_per_run(monkeypatch):
+    # three group checks share one S3 document, built afresh for each run
+    calls = []
+
+    def counting(s3_irreps=catalog.s3_irreps):
+        calls.append(None)
+        return s3_irreps()
+    monkeypatch.setattr(catalog, "s3_irreps", counting)
+    for runs in (1, 2):
+        assert all(r.ok for r in selftest.run_checks())
+        assert len(calls) == runs
 
 
 def test_close_rejects_a_result_of_the_wrong_shape():
