@@ -17,17 +17,19 @@ errors, only `rbw.errors.ContractViolation` exits 2; every other exits 1.
 
 Each subcommand imports the modules it uses when it runs.  `boost` and
 `scenario` run on the math-only `relsim` and `contract` on the exact
-`contraction`, so those three start without numpy.  `group-check` and
+`contraction`, so those three start without numpy, and of them only
+`boost` and `scenario` load `dataclasses`.  `group-check` and
 `reconstruct` check a document's table with the stdlib-only `cayley`
 and load numpy only after the table passes; `catalog` builds a
 `builtin:` document with numpy, on request, and it is checked like a
 file.  The others load numpy; of them only `selftest` also loads `relsim`.
+`json` is loaded only where a document is read or written: a group file,
+`--events`, `--pipeline`, `--expectations`, and JSON output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -74,6 +76,7 @@ def _round_floats(obj, precision: int):
 
 
 def _emit_json(document: dict, path: str | None, precision: int) -> None:
+    import json
     text = json.dumps(_round_floats(document, precision), indent=2)
     if path:
         with open(path, "w") as fh:
@@ -85,6 +88,7 @@ def _emit_json(document: dict, path: str | None, precision: int) -> None:
 # ------------------------------------------------------------------ inputs
 
 def _load_json(path: str):
+    import json
     try:
         with open(path, encoding="utf-8") as fh:       # RFC 8259: JSON is UTF-8
             return json.load(fh)

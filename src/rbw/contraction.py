@@ -26,11 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Integral
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import MNotCentral, UnknownGenerator
 
@@ -224,18 +223,17 @@ def contract(table: BracketTable, hbar: Scalar, m: Scalar) -> BracketTable:
 
 # -------------------------------------------------------------------- checks
 
-@dataclass(frozen=True)
-class JacobiResult:
+class JacobiResult(NamedTuple):
     residual: float
-    worst_triple: tuple[str, str, str] | None = None
-    worst_combo: Combo = field(default_factory=dict)
+    worst_triple: tuple[str, str, str] | None
+    worst_combo: Combo
 
 
 def jacobi_residual(table: BracketTable) -> JacobiResult:
     """Largest coefficient magnitude of [x,[y,z]] + [y,[z,x]] + [z,[x,y]] over all
     generator triples, first in combinations order, computed exactly; 0 means Lie
     algebra.  Each nested [u,[v,w]] sums the stored products f[v,w,b] f[u,b,a]."""
-    terms, s, worst = table._terms, table.scale, JacobiResult(residual=0.0)
+    terms, s, worst = table._terms, table.scale, JacobiResult(0.0, None, {})
     partners: dict[int, list[int]] = {}             # b -> each u with [u, b] stored
     for u, b in terms:
         partners.setdefault(b, []).append(u)
@@ -257,8 +255,7 @@ def jacobi_residual(table: BracketTable) -> JacobiResult:
     return worst
 
 
-@dataclass(frozen=True)
-class CCRResult:
+class CCRResult(NamedTuple):
     """Brackets of P_i = hbar T_i and Q_n = -(hbar/m) K_n, with any
     mass generator already rewritten as m I."""
 

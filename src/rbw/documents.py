@@ -9,7 +9,6 @@ that breaks the rule raises ValueError naming its field.
 
 from __future__ import annotations
 
-import json
 import math
 
 __all__ = ["checked", "count", "field", "number", "parse"]
@@ -61,5 +60,6 @@ def field(document: dict, key: str, what: str, kind: type | None = None,
 def parse(document, what: str) -> dict:
     """A JSON object, given as a dict or as JSON text."""
     if isinstance(document, str):
+        import json
         document = json.loads(document)
     return checked(document, dict, what)

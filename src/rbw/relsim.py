@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import documents
 from .errors import MixedFrames, SuperluminalVelocity
@@ -92,14 +92,12 @@ class Boost:
         return Boost(v=-self.v, c=self.c)
 
 
-@dataclass(frozen=True)
-class SimultaneityClass:
+class SimultaneityClass(NamedTuple):
     time: float
     events: tuple[SpacetimeEvent, ...]
 
 
-@dataclass(frozen=True)
-class CoRealLink:
+class CoRealLink(NamedTuple):
     """Two events tied together by sharing a time slice in some frame."""
 
     a: str
@@ -109,15 +107,14 @@ class CoRealLink:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     boost: Boost
     gamma: float
     events: Mapping[str, SpacetimeEvent]          # unprimed coordinates
     boosted: Mapping[str, SpacetimeEvent]         # primed coordinates
     links: tuple[CoRealLink, ...]
     conclusions: tuple[str, ...]
-    lengths: Mapping[str, float] = field(default_factory=dict)
+    lengths: Mapping[str, float]
 
 
 # --------------------------------------------------------------- kinematics

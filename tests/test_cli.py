@@ -45,26 +45,34 @@ def test_help_exits_zero():
 
 def test_import_loads_no_scipy():
     # every subcommand pays for what `import rbw.cli` imports
-    src = Path(rbw.__file__).resolve().parents[1]
-    code = ("import sys, rbw, rbw.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert _fresh_modules("import rbw, rbw.cli", package="scipy") == "[]"
 
 
 # ---------------------------------------------------------- lazy start-up
 
-def _fresh_modules(body, argv=(), package="numpy"):
-    """Run body in a fresh interpreter; return the modules of package it loaded."""
+# a child's first lines: site-packages, which `python -S` leaves off the path,
+# put back by hand
+_PRELUDE = ("import sys, sysconfig\n"
+                  "sys.path += [sysconfig.get_path('purelib'), sysconfig.get_path('platlib')]\n")
+
+
+def _child(body, argv=()):
+    """Run body in a fresh `python -S` with rbw and site-packages on its path;
+    return the last line it wrote to stderr.  -S runs no .pth start-up hook
+    of site-packages, whose own imports (re, typing, shutil, ...) would hide
+    whether rbw imports them."""
     src = Path(rbw.__file__).resolve().parents[1]
-    code = (f"import sys\n{body}\n"
-            f"print([m for m in sys.modules if (m + '.').startswith({package + '.'!r})],"
-            " file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+    code = _PRELUDE + body
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
                           text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
     return proc.stderr.strip().splitlines()[-1]
+
+
+def _fresh_modules(body, argv=(), package="numpy"):
+    """Run body in a fresh interpreter; return the modules of package it loaded."""
+    return _child(f"{body}\nprint([m for m in sys.modules if (m + '.').startswith("
+                  f"{package + '.'!r})], file=sys.stderr)", argv)
 
 
 _RUN_CLI = "import rbw.cli\nassert rbw.cli.main(sys.argv[1:]) == 0"
@@ -178,6 +186,89 @@ def test_only_sampled_shots_load_numpy_random(argv, loads):
     # mzi --shots is the control: it draws its counts from numpy.random
     loaded = _fresh_modules(_RUN_CLI, argv, package="numpy.random")
     assert ("'numpy.random'" in loaded) is loads
+
+
+# ---------------------------------------------------------- module budget
+
+# case -> the non-rbw modules it may load beyond its baseline, taken on CPython 3.11
+_BUDGET_FILE = Path(__file__).with_name("start_modules.json")
+
+# case -> (argv, baseline, exit code); {name} in argv is a document that
+# _budget_run writes.  The baseline is the bare interpreter for the
+# numpy-free cases and `import numpy` for the rest.
+_BUDGET_CASES = {
+    "group-check": (["group-check", "--group", "builtin:s3"], "import numpy", 0),
+    "group-check-file": (["group-check", "--group", "{s3}"], "import numpy", 0),
+    "group-check-corrupted": (["group-check", "--group", "{corrupted}"], "", 1),
+    "reconstruct": (["reconstruct", "--group", "builtin:s3", "--irrep", "standard",
+                     "--expectations", "{expectations}"], "import numpy", 0),
+    "mzi": (["mzi", "--k0", "2", "--elements", "source,bs,detector"], "import numpy", 0),
+    "mzi-pipeline": (["mzi", "--pipeline", "{pipeline}"], "import numpy", 0),
+    "sweep": (["sweep", "--k0=2", "--a-min=0", "--a-max=1", "--steps=5"], "import numpy", 0),
+    "boost": (["boost", "--v", "0.6c", "--t", "0", "--x", "1000"], "", 0),
+    "boost-events": (["boost", "--v", "0.6c", "--events", "{events}", "--classes"], "", 0),
+    "scenario": (["scenario"], "", 0),
+    "scenario-json": (["scenario", "--json"], "", 0),
+    "contract": (["contract", "--hbar", "3/4", "--m", "5/7", "--c", "7/3"], "", 0),
+    "selftest": (["selftest"], "import numpy", 0),
+}
+
+_BUDGET_CHILD = """\
+import io
+{baseline}
+before = set(sys.modules)
+import rbw.cli
+sys.stdout = sys.stderr = io.StringIO()
+code = rbw.cli.main(sys.argv[1:])
+sys.stderr = sys.__stderr__
+print(code, sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'rbw'),
+      file=sys.stderr)
+"""
+
+
+def _budget_run(case, tmp_path):
+    """(exit code, the non-rbw modules case loaded beyond its baseline)"""
+    argv, baseline, _ = _BUDGET_CASES[case]
+    paths = {"expectations": _write_expectations(tmp_path, np.diag([0.75, 0.25]))}
+    for name, doc in (("s3", catalog.s3_document()),
+                      ("corrupted", _NOT_GROUPS["non-closed"][0]),
+                      ("events", {"frame": "boys", "events": [
+                          {"label": "a", "t": 0.0, "x": 0.0},
+                          {"label": "b", "t": 0.002, "x": 1000.0}]}),
+                      ("pipeline", {"k0": 2.0, "elements": ["source", "bs", "detector"]})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    line = _child(_BUDGET_CHILD.format(baseline=baseline), [a.format(**paths) for a in argv])
+    code, loaded = line.split(" ", 1)
+    return int(code), ast.literal_eval(loaded)
+
+
+@pytest.mark.parametrize("case", sorted(_BUDGET_CASES))
+def test_start_stays_within_its_module_budget(tmp_path, case):
+    code, loaded = _budget_run(case, tmp_path)
+    assert code == _BUDGET_CASES[case][2]
+    extra = sorted(set(loaded) - set(json.loads(_BUDGET_FILE.read_text()).get(case, [])))
+    assert not extra, (f"{case} loads {extra} beyond its list in {_BUDGET_FILE.name}; "
+                       f"to accept them, commit the line {json.dumps({case: loaded})[1:-1]}")
+
+
+def test_module_budget_keeps_the_start_up_cuts():
+    budget = json.loads(_BUDGET_FILE.read_text())
+    assert set(budget) == set(_BUDGET_CASES)
+    # contract builds no dataclass, and json is loaded only for a document
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"} & set(budget["contract"])
+    for case in ("boost", "scenario", "sweep", "mzi", "group-check"):
+        assert "json" not in budget[case], case
+    for case, (_, baseline, _) in _BUDGET_CASES.items():
+        assert baseline or "numpy" not in budget[case], case
+
+
+def test_module_budget_probe_sees_dataclasses_under_boost(tmp_path):
+    # control: relsim's Boost and SpacetimeEvent are still dataclasses, so the
+    # probe that keeps dataclasses out of contract's list reports it here
+    code, loaded = _budget_run("boost", tmp_path)
+    assert code == 0
+    assert {"dataclasses", "inspect"} <= set(loaded)
 
 
 def test_every_export_resolves_to_its_home_module():

@@ -11,6 +11,8 @@ import pytest
 
 from rbw.contraction import (
     BracketTable,
+    CCRResult,
+    JacobiResult,
     ccr_check,
     contract,
     format_combo,
@@ -239,6 +241,16 @@ def test_jacobi_poincare_exactly_zero():
     assert result.worst_triple is None
 
 
+def test_jacobi_result_is_a_record_of_three_fields():
+    assert JacobiResult._fields == ("residual", "worst_triple", "worst_combo")
+    assert JacobiResult._field_defaults == {}
+    # each Lie algebra gets its own empty worst_combo, not one shared default
+    first, second = jacobi_residual(poincare_table()), jacobi_residual(galilean_table())
+    assert first == (0.0, None, {}) and first.worst_combo is not second.worst_combo
+    with pytest.raises(AttributeError):
+        first.residual = 1.0
+
+
 def test_jacobi_galilean_exactly_zero():
     assert jacobi_residual(galilean_table()).residual == 0.0
 
@@ -404,6 +416,13 @@ def test_ccr_recovered_on_contraction():
     for key in result.pp:
         assert result.pp[key] == {}
         assert result.qq[key] == {}
+
+
+def test_ccr_result_is_a_record_of_six_fields():
+    assert CCRResult._fields == ("pq", "pp", "qq", "hbar", "mass", "verdict")
+    result = ccr_check(contract(poincare_table(), 1, 1), 1, 1)
+    with pytest.raises(AttributeError):
+        result.verdict = "NO CCR"
 
 
 def test_ccr_scales_with_hbar():

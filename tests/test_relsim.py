@@ -14,6 +14,9 @@ from rbw.errors import MixedFrames, SuperluminalVelocity
 from rbw.relsim import (
     SPEED_OF_LIGHT,
     Boost,
+    CoRealLink,
+    ScenarioReport,
+    SimultaneityClass,
     SpacetimeEvent,
     boost_event,
     corealness_chain,
@@ -397,6 +400,23 @@ def test_scenario_rider_separation_comes_from_the_boosts(monkeypatch):
     report = corealness_chain()
     boosted = report.boosted
     assert report.lengths["kim_alice_girls"] == boosted["event2"].x - boosted["event3"].x
+
+
+@pytest.mark.parametrize("record,fields", [
+    (SimultaneityClass, ("time", "events")),
+    (CoRealLink, ("a", "b", "frame", "time", "note")),
+    (ScenarioReport, ("boost", "gamma", "events", "boosted", "links", "conclusions",
+                      "lengths")),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_report_records_are_frozen_tuples(record, fields):
+    assert record._fields == fields
+    report = corealness_chain()
+    made = {SimultaneityClass: simultaneity_classes(list(report.events.values()),
+                                                    report.boost)[0],
+            CoRealLink: report.links[0], ScenarioReport: report}[record]
+    assert type(made) is record
+    with pytest.raises(AttributeError):
+        setattr(made, fields[0], None)
 
 
 def test_scenario_chain_narrative():
