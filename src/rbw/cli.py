@@ -1,5 +1,29 @@
-"""Command-line front-end.
+"""Command-line front-end; `rbw --help` shows `_USAGE`.
 
+Each subcommand imports what it uses when it runs: `boost` and
+`scenario` run on the math-only `relsim` (which loads `dataclasses`) and
+`contract` on the exact `contraction`, so those three start without
+numpy.  `group-check` and `reconstruct` check a document's table with
+the stdlib-only `cayley` and load numpy only once it passes (`catalog`
+builds a `builtin:` document with numpy, on request).  The others load
+numpy; of them only `selftest` also loads `relsim`.  `json` is loaded
+only to read or write a document: a group file, `--events`,
+`--pipeline`, `--expectations`, and JSON output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import warnings
+
+from .errors import ContractViolation, RBWError, UsageError
+from .tolerance import default_tolerance
+
+__all__ = ["build_parser", "main"]
+
+_USAGE = """\
 One subcommand per module operation family:
 
     group-check   validate a multiplication table and its irreps
@@ -14,30 +38,7 @@ One subcommand per module operation family:
 Exit status: 0 success, 1 bad usage or invalid input, 2 a numerical
 contract was violated (residual over tolerance, failed check).  Of the
 errors, only `rbw.errors.ContractViolation` exits 2; every other exits 1.
-
-Each subcommand imports the modules it uses when it runs.  `boost` and
-`scenario` run on the math-only `relsim` and `contract` on the exact
-`contraction`, so those three start without numpy, and of them only
-`boost` and `scenario` load `dataclasses`.  `group-check` and
-`reconstruct` check a document's table with the stdlib-only `cayley`
-and load numpy only after the table passes; `catalog` builds a
-`builtin:` document with numpy, on request, and it is checked like a
-file.  The others load numpy; of them only `selftest` also loads `relsim`.
-`json` is loaded only where a document is read or written: a group file,
-`--events`, `--pipeline`, `--expectations`, and JSON output.
 """
-
-from __future__ import annotations
-
-import argparse
-import math
-import sys
-import warnings
-
-from .errors import ContractViolation, RBWError, UsageError
-from .tolerance import default_tolerance
-
-__all__ = ["build_parser", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=_digits, default=12, metavar="DIGITS",
                         help="significant digits for numeric output (default 12)")
 
-    parser = _Parser(prog="rbw", description=__doc__,
+    parser = _Parser(prog="rbw", description=_USAGE,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND",
                                 required=True)

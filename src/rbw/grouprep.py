@@ -22,6 +22,7 @@ pure functions, so values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite as _isfinite
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -31,22 +32,10 @@ from .cayley import CayleyTable, check_table
 from .errors import DimensionMismatch, UnknownElement
 from .tolerance import default_tolerance, exceeds
 
-__all__ = [
-    "GroupSpec",
-    "Irrep",
-    "ValidationReport",
-    "load_group",
-    "load_irrep",
-    "load_irreps",
-    "group_document",
-    "verify_irrep",
-    "orthogonality_residual",
-    "resolution_identity",
-    "complex_from_pair",
-    "pair_from_complex",
-    "matrix_from_pairs",
-    "pairs_from_matrix",
-]
+__all__ = ["GroupSpec", "Irrep", "ValidationReport", "load_group", "load_irrep",
+           "load_irreps", "group_document", "verify_irrep", "orthogonality_residual",
+           "resolution_identity", "complex_from_pair", "pair_from_complex",
+           "matrix_from_pairs", "pairs_from_matrix"]
 
 
 # ------------------------------------------------------------------ types
@@ -112,9 +101,7 @@ class Irrep:
     def __post_init__(self):
         mats = [np.asarray(self.matrix(g)) for g in self.group.elements]
         for g, m in zip(self.group.elements, mats):
-            if m.shape != (self.n, self.n):
-                raise DimensionMismatch(f"irrep {self.name!r} matrix for {g!r} has shape "
-                                        f"{m.shape}, expected {(self.n, self.n)}")
+            _require_square(self.name, g, m.shape, self.n)
         stack = np.array(mats)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
@@ -136,14 +123,22 @@ class Irrep:
         return self._stack
 
     def traces(self, x: np.ndarray) -> np.ndarray:
-        """tr{D(g) x} for every g, in element order: the forward map of
-        rho = (n/N) * sum_g D(g^-1) <D(g)>."""
-        return np.trace(self._stack @ x, axis1=-2, axis2=-1)
+        """tr{D(g) x} for every g, in element order, for one n x n matrix x:
+        the forward map of rho = (n/N) * sum_g D(g^-1) <D(g)>.  One (N*n, n)
+        @ (n, n) product, its diagonals read at stride n + 1, per-g bits."""
+        n = self.n
+        return (self._stack.reshape(-1, n) @ x).reshape(-1, n * n)[:, ::n + 1].sum(axis=1)
 
     def group_sum(self, w: np.ndarray) -> np.ndarray:
         """(n/N) * sum_g w[..., g] D(g), the terms added in element order.
         For a unitary irrep group_sum(traces(x)[group.inverse]) returns x."""
         return (w[..., None, None] * self._stack).sum(axis=-3) * (self.n / self.group.N)
+
+
+def _require_square(name: str, g: str, shape: tuple, n: int) -> None:
+    if shape != (n, n):
+        raise DimensionMismatch(f"irrep {name!r} matrix for {g!r} has shape {shape}, "
+                                f"expected {(n, n)}")
 
 
 @dataclass(frozen=True)
@@ -175,10 +170,7 @@ class ValidationReport:
 # ------------------------------------------------------------- documents
 
 def complex_from_pair(pair) -> complex:
-    if len(documents.checked(pair, list, "complex number")) != 2:
-        raise ValueError(f"complex number must be a [re, im] pair, got {pair!r}")
-    re, im = (documents.number(x, "[re, im] pair entry") for x in pair)
-    return complex(re, im)
+    return complex(*_matrix_floats([[pair]])[0])
 
 
 def pair_from_complex(z: complex) -> list[float]:
@@ -187,11 +179,31 @@ def pair_from_complex(z: complex) -> list[float]:
 
 
 def matrix_from_pairs(rows) -> np.ndarray:
-    rows = [[complex_from_pair(z) for z in documents.checked(row, list, "matrix row")]
-            for row in documents.checked(rows, list, "matrix")]
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError(f"matrix rows have lengths {[len(row) for row in rows]}")
-    return np.array(rows, dtype=complex)
+    floats, shape = _matrix_floats(rows)
+    return np.array(floats, dtype=float).view(complex).reshape(shape)
+
+
+def _matrix_floats(rows, where: str = "") -> tuple[list[float], tuple[int, ...]]:
+    """A matrix of [re, im] pairs as its floats, in row-major order, and its
+    shape; a refusal's ValueError is led by where."""
+    out, lengths = [], []
+    if not isinstance(rows, list):
+        documents.checked(rows, list, f"{where}matrix")
+    for row in rows:
+        if not isinstance(row, list):
+            documents.checked(row, list, f"{where}matrix row")
+        for pair in row:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                documents.checked(pair, list, f"{where}complex number")
+                raise ValueError(f"{where}complex number must be a [re, im] pair, got {pair!r}")
+            for x in pair:
+                if not (isinstance(x, float) and _isfinite(x)):   # ints, refusals
+                    x = documents.number(x, f"{where}[re, im] pair entry")
+                out.append(x)
+        lengths.append(len(row))
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{where}matrix rows have lengths {lengths}")
+    return out, (len(lengths), lengths[0]) if lengths else (0,)
 
 
 def pairs_from_matrix(m: np.ndarray) -> list[list[list[float]]]:
@@ -226,7 +238,8 @@ def group_from_table(checked: CayleyTable) -> GroupSpec:
 
 
 def load_irrep(document, name: str, group: GroupSpec | None = None) -> Irrep:
-    """Parse one named irrep from a group document."""
+    """Parse one named irrep from a group document: one walk over its
+    matrices collects their floats, then one array is the (N, n, n) stack."""
     doc = documents.parse(document, "group document")
     if group is None:
         group = load_group(doc)
@@ -238,18 +251,19 @@ def load_irrep(document, name: str, group: GroupSpec | None = None) -> Irrep:
     n = documents.count(documents.field(entry, "n", what), f"{what}: n")
     matrices_doc = documents.field(entry, "matrices", what, dict)
 
-    matrices = {}
+    floats, shapes = {}, {}
     for g, rows in matrices_doc.items():
         if g not in group:
             raise UnknownElement(f"{what} has a matrix for {g!r}, which is not a group element")
-        try:
-            matrices[g] = matrix_from_pairs(rows)
-        except ValueError as exc:
-            raise ValueError(f"{what} matrix for {g!r}: {exc}") from None
-    missing = [g for g in group.elements if g not in matrices]
+        floats[g], shapes[g] = _matrix_floats(rows, f"{what} matrix for {g!r}: ")
+    missing = [g for g in group.elements if g not in floats]
     if missing:
         raise ValueError(f"irrep {name!r} is missing matrices for {missing}")
-    return Irrep(group=group, n=n, D=matrices, name=name)
+    for g in group.elements:
+        _require_square(name, g, shapes[g], n)
+    stack = np.array([x for g in group.elements for x in floats[g]]).view(complex)
+    return Irrep(group=group, n=n, D=dict(zip(group.elements, stack.reshape(-1, n, n))),
+                 name=name)
 
 
 def load_irreps(document, group: GroupSpec | None = None) -> dict[str, Irrep]:
@@ -295,7 +309,7 @@ def verify_irrep(irrep: Irrep) -> ValidationReport:
     # huge entries overflow into inf and NaN residuals, which fail below
     with np.errstate(over="ignore", invalid="ignore"):
         unit = float(np.max(np.abs(d @ d.conj().swapaxes(1, 2) - np.eye(n))))
-        prod = d[:, None] @ d[None, :]          # [a, b] = D(a) D(b)
+        prod = _pair_products(d)
         homo = float(np.max(np.abs(prod - d[group.table])))
         indicator = float(np.sum(np.abs(np.trace(d, axis1=1, axis2=2)) ** 2) / group.N)
         ortho = orthogonality_residual(irrep)
@@ -317,6 +331,13 @@ def verify_irrep(irrep: Irrep) -> ValidationReport:
         tolerance=default_tolerance(),
         failures=tuple(note for note in notes if note is not None),
     )
+
+
+def _pair_products(d: np.ndarray) -> np.ndarray:
+    """[a, b] = D(a) D(b), one (N*n, n) @ (n, n) product per b with the bits of
+    each D(a) @ D(b); one (N*n, n) @ (n, N*n) product would round otherwise."""
+    big_n, n = d.shape[:2]
+    return (d.reshape(-1, n) @ d).reshape(big_n, big_n, n, n).swapaxes(0, 1)
 
 
 def orthogonality_residual(irrep: Irrep) -> float:
@@ -348,7 +369,7 @@ def resolution_identity(irrep: Irrep, gprime: str) -> np.ndarray:
 
         (n/N) * sum_g D(g) * tr{D(g^-1) D(gprime)}
 
-    which must reproduce D(gprime) for a unitary irrep.  It costs N
-    matrix products, one per g.
+    which must reproduce D(gprime) for a unitary irrep.  It costs one
+    (N*n, n) @ (n, n) product, through `Irrep.traces`.
     """
     return irrep.group_sum(irrep.traces(irrep.matrix(gprime))[irrep.group.inverse])

@@ -8,6 +8,7 @@ x = X = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -18,24 +19,10 @@ from . import documents
 from .errors import MixedFrames, SuperluminalVelocity
 from .tolerance import default_tolerance
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "SIMULTANEITY_TOLERANCE",
-    "SpacetimeEvent",
-    "Boost",
-    "SimultaneityClass",
-    "CoRealLink",
-    "ScenarioReport",
-    "gamma",
-    "boost_event",
-    "weak_boost_transform",
-    "simultaneity_classes",
-    "interval",
-    "interval_class",
-    "corealness_chain",
-    "load_events",
-    "events_document",
-]
+__all__ = ["SPEED_OF_LIGHT", "SIMULTANEITY_TOLERANCE", "SpacetimeEvent", "Boost",
+           "SimultaneityClass", "CoRealLink", "ScenarioReport", "gamma", "boost_event",
+           "weak_boost_transform", "simultaneity_classes", "interval", "interval_class",
+           "corealness_chain", "load_events", "events_document"]
 
 SPEED_OF_LIGHT = 300000.0          # km/s
 SIMULTANEITY_TOLERANCE = 1e-12     # seconds, absolute
@@ -136,6 +123,7 @@ def _checked_light_speed_squared(c: float) -> float:
     return c2
 
 
+@functools.lru_cache(maxsize=64)     # bounded: frame labels come from documents
 def _toggle_prime(frame: str) -> str:
     return frame[:-1] if frame.endswith("'") else frame + "'"
 
@@ -195,7 +183,20 @@ def simultaneity_classes(events: Sequence[SpacetimeEvent],
     time and hold the boosted events.
     """
     frame = _toggle_prime(_require_single_frame(events))
-    moved = [boost_event(e, boost, frame) for e in events]
+    # boost_event's body, with its lookups made once for the whole frame
+    g, v, c2, new = boost._gamma, boost.v, boost._c2, object.__new__
+    moved = []
+    for e in events:
+        t, x = e.t, e.x
+        t, x = g * (t - v * x / c2), g * (x - v * t)
+        if not (_isfinite(t) and _isfinite(x)):
+            _require_finite(t, x)        # raises, with the constructor's message
+        out = new(SpacetimeEvent)
+        _set_t(out, t)
+        _set_x(out, x)
+        _set_frame(out, frame)
+        _set_label(out, e.label)
+        moved.append(out)
     moved.sort(key=attrgetter("t"))
     classes: list[list[SpacetimeEvent]] = []
     for e in moved:
@@ -203,7 +204,7 @@ def simultaneity_classes(events: Sequence[SpacetimeEvent],
             classes[-1].append(e)
         else:
             classes.append([e])
-    return [SimultaneityClass(time=sum(e.t for e in group) / len(group),
+    return [SimultaneityClass(time=sum([e.t for e in group]) / len(group),
                               events=tuple(group))
             for group in classes]
 

@@ -151,6 +151,12 @@ def _require_hermitian(rho: np.ndarray) -> None:
     require(float(np.abs(rho - rho.conj().T).max()), "max |rho - rho^dag|", NotHermitian)
 
 
+def _minus_identity(m: np.ndarray) -> np.ndarray:
+    """m - np.eye(len(m)), bit for bit, in place on a fresh square product m."""
+    m.flat[::len(m) + 1] -= 1
+    return m
+
+
 @functools.cmp_to_key
 def _lexicographic(a: Sequence[float], b: Sequence[float]) -> int:
     """Sort key: the first pair of entries further apart than eig's
@@ -205,7 +211,7 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistr
             f"state {rho.shape} vs operator {symmetry.shape}")
     n = rho.shape[0]
     _require_hermitian(rho)
-    unit_residual = float(np.abs(symmetry @ symmetry.conj().T - np.eye(n)).max())
+    unit_residual = float(np.abs(_minus_identity(symmetry @ symmetry.conj().T)).max())
     require(unit_residual, "max |U U^dag - I|", NotUnitary)
 
     # A unitary is normal: eig's columns span its orthogonal eigenspaces but
@@ -213,7 +219,7 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistr
     # U unitary only to tol.  V = QR then makes U Q = Q (R diag(lam) R^-1) a
     # Schur form whose column j belongs to lam[j]; skew < 1e-13 shifts p < 1e-12.
     lam, vecs = np.linalg.eig(symmetry)
-    if not np.abs(vecs.conj().T @ vecs - np.eye(n)).max() <= _EIG_ROUND_OFF:
+    if not np.abs(_minus_identity(vecs.conj().T @ vecs)).max() <= _EIG_ROUND_OFF:
         vecs = np.linalg.qr(vecs)[0]
     probs = (vecs.conj() * (rho @ vecs)).sum(axis=0).real.tolist()
     gap = max(_EIG_ROUND_OFF, _GAP_PER_RESIDUAL * unit_residual)
@@ -245,7 +251,7 @@ def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray]) 
     if basis.shape[0] != zeta.shape[0]:
         raise DimensionMismatch(
             f"ket has dimension {zeta.shape[0]}, basis vectors {basis.shape[0]}")
-    gram = basis.conj().T @ basis - np.eye(basis.shape[1])
+    gram = _minus_identity(basis.conj().T @ basis)
     require(float(np.abs(gram).max()), "max |<b_i|b_j> - delta_ij|", NonOrthonormalBasis)
     return basis.conj().T @ zeta
 

@@ -43,6 +43,23 @@ def test_help_exits_zero():
     assert info.value.code == 0
 
 
+@pytest.mark.parametrize("flags", [[], ["-OO"]], ids=["plain", "docstrings-stripped"])
+def test_help_shows_the_subcommands_and_exit_status_only(flags):
+    # the module docstring's notes on what each subcommand imports are for
+    # readers of the code, and the help text does not depend on docstrings
+    src = Path(rbw.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, *flags, "-m", "rbw.cli", "--help"],
+                         capture_output=True, text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "PYTHONDONTWRITEBYTECODE": "1"}).stdout
+    for name in ("group-check", "reconstruct", "mzi", "sweep", "boost", "scenario",
+                 "contract", "selftest"):
+        assert f"\n    {name} " in out
+    assert "Exit status: 0 success, 1 bad usage or invalid input, 2 a numerical" in out
+    for word in ("numpy", "dataclasses", "json"):
+        assert word not in out
+
+
 def test_import_loads_no_scipy():
     # every subcommand pays for what `import rbw.cli` imports
     assert _fresh_modules("import rbw, rbw.cli", package="scipy") == "[]"

@@ -849,3 +849,117 @@ def test_non_finite_matrix_entry_rejected_at_load(pair):
 def test_malformed_documents_raise_value_error(doc, match):
     with pytest.raises(ValueError, match=match):
         load_irreps(doc)
+
+
+# ------------------------------------------------- tall products and one pass
+
+def tall_product_stacks():
+    """(group, stack) for S3, the dihedral documents, and seeded random
+    stacks over cyclic groups with N from 1 to 40 and n from 1 to 4."""
+    for irr in s3_and_dihedral_irreps():
+        yield irr.group, irr.stacked()
+    rng = np.random.default_rng(24)
+    for big_n in range(1, 41):
+        group = load_group(cyclic_document(big_n))
+        for n in range(1, 5):
+            yield group, rng.normal(size=(big_n, n, n)) + 1j * rng.normal(size=(big_n, n, n))
+
+
+def test_tall_products_keep_the_per_element_bits():
+    # one (N*n, n) @ (n, n) product per operand must round like the per-pair
+    # products it replaces; a BLAS that rounds it otherwise fails here
+    rng = np.random.default_rng(5)
+    for group, d in tall_product_stacks():
+        n = d.shape[1]
+        irr = Irrep(group=group, n=n, D=dict(zip(group.elements, d)))
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert np.array_equal(bits(irr.traces(x)),
+                              bits(np.trace(d @ x, axis1=-2, axis2=-1)))
+        assert np.array_equal(bits(grouprep._pair_products(d)),
+                              bits(d[:, None] @ d[None, :]))
+
+
+def doc_with_irrep(n, matrices):
+    return {**catalog.builtin_document("z2"), "irreps": {"x": {"n": n, "matrices": matrices}}}
+
+
+ONE = [[[1.0, 0.0]]]
+EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(catalog.builtin_document("s3"), id="s3"),
+    *(pytest.param(dihedral_document(m, seed), id=f"dihedral-{m}-{seed}")
+      for m, seed in DIHEDRAL),
+    pytest.param(doc_with_irrep(2, {"e": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                    "r": [[[-0.0, 1e-300], [np.float64(0.6), -0.8]],
+                                          [[0.8, 0], [0.6, -0.0]]]}), id="ints-numpy-signed-zeros"),
+])
+def test_parsed_stacks_are_the_stacked_matrices(doc):
+    group = load_group(doc)
+    for name, irr in load_irreps(doc, group).items():
+        matrices = doc["irreps"][name]["matrices"]
+        by_element = np.array([grouprep.matrix_from_pairs(matrices[g]) for g in group.elements])
+        assert np.array_equal(bits(irr.stacked()), bits(by_element))
+        want = np.array([[[complex(*pair) for pair in row] for row in matrices[g]]
+                         for g in group.elements])
+        assert np.array_equal(bits(irr.stacked()), bits(want))
+
+
+@pytest.mark.parametrize("matrices,n,error,message", [
+    ({"e": ONE, "r": [[[True, 0]]]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, got True"),
+    ({"e": ONE, "r": [[[1.0, False]]]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, got False"),
+    ({"e": ONE, "r": [[["0.5", 0]]]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, got '0.5'"),
+    ({"e": ONE, "r": [[[10 ** 400, 0]]]}, 1, ValueError,
+     f"irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, got {10 ** 400}"),
+    ({"e": ONE, "r": [[[math.nan, 0.0]]]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, got nan"),
+    ({"e": ONE, "r": [[[0.0, math.inf]]]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, got inf"),
+    ({"e": ONE, "r": [[[np.float64("nan"), 0.0]]]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, "
+     f"got {np.float64('nan')!r}"),
+    ({"e": EYE2, "r": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}, 2, ValueError,
+     "irrep 'x' matrix for 'r': matrix rows have lengths [2, 1]"),
+    ({"e": ONE, "r": [[[1.0, 0.0, 0.0]]]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': complex number must be a [re, im] pair, got [1.0, 0.0, 0.0]"),
+    ({"e": ONE, "r": [[1.0]]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': complex number must be a JSON array, got float"),
+    ({"e": ONE, "r": [5]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': matrix row must be a JSON array, got int"),
+    ({"e": ONE, "r": "1"}, 1, ValueError,
+     "irrep 'x' matrix for 'r': matrix must be a JSON array, got str"),
+    ({"e": ONE}, 1, ValueError, "irrep 'x' is missing matrices for ['r']"),
+    ({"e": ONE, "r": ONE, "q": ONE}, 1, UnknownElement,
+     "irrep 'x' has a matrix for 'q', which is not a group element"),
+    ({"e": EYE2, "r": ONE}, 2, DimensionMismatch,
+     "irrep 'x' matrix for 'r' has shape (1, 1), expected (2, 2)"),
+    ({"e": ONE, "r": []}, 1, DimensionMismatch,
+     "irrep 'x' matrix for 'r' has shape (0,), expected (1, 1)"),
+    ({"e": ONE, "r": [[]]}, 1, DimensionMismatch,
+     "irrep 'x' matrix for 'r' has shape (1, 0), expected (1, 1)"),
+    # which offender is named: the first in document order while parsing,
+    # the first entry of a matrix before its row lengths, missing matrices
+    # before shapes, and shapes in element order
+    ({"e": ONE, "r": [[[True, 0]], 5]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, got True"),
+    ({"e": EYE2, "r": [[[1, 0]], [[0, 0], [True, 0]]]}, 2, ValueError,
+     "irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, got True"),
+    ({"r": [[["r", 0]]], "e": [[["e", 0]]]}, 1, ValueError,
+     "irrep 'x' matrix for 'r': [re, im] pair entry must be a finite number, got 'r'"),
+    ({"e": [[[None, 0]]], "q": ONE}, 1, ValueError,
+     "irrep 'x' matrix for 'e': [re, im] pair entry must be a finite number, got None"),
+    ({"q": ONE, "e": [[[None, 0]]]}, 1, UnknownElement,
+     "irrep 'x' has a matrix for 'q', which is not a group element"),
+    ({"e": ONE}, 2, ValueError, "irrep 'x' is missing matrices for ['r']"),
+    ({"r": ONE, "e": [[[1.0, 0.0]] * 3]}, 2, DimensionMismatch,
+     "irrep 'x' matrix for 'e' has shape (1, 3), expected (2, 2)"),
+])
+def test_malformed_irreps_fail_with_the_matrix_parser_messages(matrices, n, error, message):
+    with pytest.raises(error) as info:
+        load_irrep(doc_with_irrep(n, matrices), "x")
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -150,6 +150,56 @@ def test_boosted_events_are_slotted():
             assert type(twin) is SpacetimeEvent and not hasattr(twin, "__dict__")
 
 
+def sliced_events(seed, frame, b):
+    """2000 events, shuffled, on 50 time slices of the frame boosted by b, so
+    that each slice comes back as one class of 40 nearly equal times."""
+    rng = np.random.default_rng(seed)
+    g, v = gamma(b), b.v
+    events = [SpacetimeEvent(t=g * (big_t + v * big_x / (C * C)), x=g * (big_x + v * big_t),
+                             frame=frame, label=f"s{s}e{e}")
+              for s, big_t in enumerate(rng.uniform(-1e-2, 1e-2, 50))
+              for e, big_x in enumerate(rng.uniform(-3e3, 3e3, 40))]
+    return [events[i] for i in rng.permutation(len(events))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("frame", ["lab", "lab'"])
+def test_simultaneity_classes_hold_the_boost_event_events(seed, frame):
+    # the classes boost their events in a loop of their own, which must
+    # make each event exactly as boost_event makes it
+    b = Boost(v=float(np.random.default_rng(seed).uniform(-0.99, 0.99)) * C)
+    events = sliced_events(seed, frame, b)
+    by_label = {e.label: e for e in events}
+    classes = simultaneity_classes(events, b)
+    assert [len(cls.events) for cls in classes] == [40] * 50
+    members = [m for cls in classes for m in cls.events]
+    assert sorted(m.label for m in members) == sorted(by_label)
+    for m in members:
+        want = boost_event(by_label[m.label], b)
+        assert (m.t.hex(), m.x.hex(), m.frame, m.label) == (
+            want.t.hex(), want.x.hex(), want.frame, want.label)
+        assert m == want and hash(m) == hash(want) and repr(m) == repr(want)
+        assert type(m) is SpacetimeEvent and not hasattr(m, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.t = 0.0
+    for cls in classes:
+        assert cls.time.hex() == (sum(e.t for e in cls.events) / len(cls.events)).hex()
+
+
+def test_simultaneity_classes_refuse_a_non_finite_event_mid_loop():
+    b = Boost(v=0.99 * C)
+    events = sliced_events(0, "lab", b)
+    events[1000] = SpacetimeEvent(t=1e308, x=0.0, label="huge")
+    with pytest.raises(ValueError) as info:
+        simultaneity_classes(events, b)
+    assert str(info.value) == "event coordinates must be finite: t=inf, x=-inf"
+
+
+def test_frame_toggle_cache_is_bounded():
+    # frame labels come from event documents, so the cache must not grow with them
+    assert relsim._toggle_prime.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("c", [1e-200, 1e-155, 5e-324])
 def test_light_speed_whose_square_underflows_is_rejected(c):
     # c * c below the smallest normal float would make every boost divide by 0
