@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import warnings
 
@@ -42,6 +43,12 @@ errors, only `rbw.errors.ContractViolation` exits 2; every other exits 1.
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option looks like a number, so -0.6c, -1e-3 and -.5 are values;
+        # argparse's own pattern takes only -2, -2.5 and -.5
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # route argparse's own failures through the exit-code policy
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -112,8 +119,8 @@ def _irreps(spec: str, name: str | None):
         document = _load_json(spec)
     from .cayley import check_table
     table = check_table(document)
-    from .grouprep import group_from_table, load_irrep, load_irreps
-    group = group_from_table(table)
+    from .grouprep import GroupSpec, load_irrep, load_irreps
+    group = GroupSpec(table)
     if name is None:
         return group, load_irreps(document, group)
     return group, {name: load_irrep(document, name, group)}
@@ -412,15 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND",
                                 required=True)
 
-    g = sub.add_parser("group-check", parents=[common],
-                       help="validate a group document and its irreps")
+    g = sub.add_parser("group-check", parents=[common])
     g.add_argument("--group", required=True, metavar="SRC",
                    help="JSON file, or builtin:trivial|z2|s3")
     g.add_argument("--irrep", metavar="NAME", help="check only this irrep")
     g.set_defaults(func=cmd_group_check)
 
-    r = sub.add_parser("reconstruct", parents=[common],
-                       help="density matrix from symmetry averages")
+    r = sub.add_parser("reconstruct", parents=[common])
     r.add_argument("--group", required=True, metavar="SRC")
     r.add_argument("--irrep", required=True, metavar="NAME")
     r.add_argument("--expectations", required=True, metavar="FILE",
@@ -428,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--output", metavar="FILE", help="write JSON here instead of stdout")
     r.set_defaults(func=cmd_reconstruct)
 
-    m = sub.add_parser("mzi", parents=[common],
-                       help="run one interferometer pipeline")
+    m = sub.add_parser("mzi", parents=[common])
     m.add_argument("--pipeline", metavar="FILE",
                    help="JSON {k0, elements: [source,bs,...]}")
     m.add_argument("--k0", type=float, metavar="K0", help="wave number")
@@ -440,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=int, default=0, metavar="SEED")
     m.set_defaults(func=cmd_mzi)
 
-    s = sub.add_parser("sweep", parents=[common],
-                       help="CSV of clicks and averages over a phase range")
+    s = sub.add_parser("sweep", parents=[common])
     s.add_argument("--k0", type=float, required=True, metavar="K0")
     s.add_argument("--a-min", type=float, required=True, metavar="A")
     s.add_argument("--a-max", type=float, required=True, metavar="A")
@@ -450,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--output", metavar="FILE", help="write CSV here instead of stdout")
     s.set_defaults(func=cmd_sweep)
 
-    b = sub.add_parser("boost", parents=[common],
-                       help="transform events into a moving frame")
+    b = sub.add_parser("boost", parents=[common])
     b.add_argument("--v", required=True, metavar="V",
                    help="velocity in km/s, or with suffix c (e.g. 0.6c)")
     b.add_argument("--c", type=float, metavar="C",
@@ -464,14 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --events: also print simultaneity classes")
     b.set_defaults(func=cmd_boost)
 
-    n = sub.add_parser("scenario", parents=[common],
-                       help="built-in five-observer report")
+    n = sub.add_parser("scenario", parents=[common])
     n.add_argument("--json", action="store_true",
                    help="emit the report as a JSON document")
     n.set_defaults(func=cmd_scenario)
 
-    k = sub.add_parser("contract", parents=[common],
-                       help="bracket tables, infinite-speed limit, commutators")
+    k = sub.add_parser("contract", parents=[common])
     k.add_argument("--hbar", default="1", metavar="HBAR",
                    help="action scale as a rational, e.g. 1 or 1/2")
     k.add_argument("--m", default="1", metavar="M", help="mass as a rational")
@@ -479,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the table at this finite light speed")
     k.set_defaults(func=cmd_contract)
 
-    t = sub.add_parser("selftest", parents=[common],
-                       help="run the built-in verification suite")
+    t = sub.add_parser("selftest", parents=[common])
     t.add_argument("--list", action="store_true",
                    help="enumerate checks without running them")
     t.add_argument("--only", metavar="IDS", help="comma-separated check ids")

@@ -15,15 +15,16 @@ Complex numbers are always two-element ``[re, im]`` arrays of finite
 numbers.  Element labels must not contain a comma, since ``mul`` keys
 are ``"g,h"`` pairs.
 
-Everything here is immutable after construction and all operations are
-pure functions, so values can be shared freely between threads.
+Arrays here are read-only, result records are tuples, and the attributes
+of a `GroupSpec` or `Irrep` are not to be rebound once it is made; all
+operations are pure functions, so values can be shared freely between
+threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isfinite as _isfinite
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = ["GroupSpec", "Irrep", "ValidationReport", "load_group", "load_irrep",
 
 # ------------------------------------------------------------------ types
 
-@dataclass(frozen=True, eq=False)
 class GroupSpec:
     """A finite group: ordered element labels plus a closed, associative
     multiplication table with identity and inverses.
@@ -51,15 +51,20 @@ class GroupSpec:
     Groups compare by identity, since the array fields have no single
     truth value under ``==``.
 
-    Construct through :func:`load_group`, whose table has passed the
-    axioms; direct construction skips them.
+    Its one constructor takes a table that :func:`rbw.cayley.check_table`
+    passed; :func:`load_group` parses and checks a document into one.
     """
 
-    elements: tuple[str, ...]
-    table: np.ndarray
-    identity: str
-    inverse: np.ndarray
-    index: Mapping[str, int]
+    __slots__ = ("elements", "table", "identity", "inverse", "index")
+
+    def __init__(self, checked: CayleyTable):
+        self.elements = checked.elements
+        self.table = np.array(checked.rows, dtype=np.intp)
+        self.inverse = np.array(checked.inverse, dtype=np.intp)
+        self.table.setflags(write=False)
+        self.inverse.setflags(write=False)
+        self.identity = checked.elements[checked.identity]
+        self.index = checked.index
 
     @property
     def N(self) -> int:
@@ -82,7 +87,6 @@ class GroupSpec:
         return g in self.index
 
 
-@dataclass(frozen=True)
 class Irrep:
     """A matrix-valued map on group elements, expected to be a unitary
     irreducible representation (checked by :func:`verify_irrep`).
@@ -90,22 +94,20 @@ class Irrep:
     The matrices are stacked once, in the group's element order, when the
     irrep is made, and `D` then maps each element to its read-only row of
     that stack; a matrix that is not n x n raises DimensionMismatch.
+    Irreps compare by identity, as groups do.
     """
 
-    group: GroupSpec
-    n: int
-    D: Mapping[str, np.ndarray]
-    name: str = "irrep"
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("group", "n", "D", "name", "_stack")
 
-    def __post_init__(self):
-        mats = [np.asarray(self.matrix(g)) for g in self.group.elements]
-        for g, m in zip(self.group.elements, mats):
-            _require_square(self.name, g, m.shape, self.n)
-        stack = np.array(mats)
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "D", dict(zip(self.group.elements, stack)))
+    def __init__(self, group: GroupSpec, n: int, D: Mapping[str, np.ndarray],
+                 name: str = "irrep"):
+        self.group, self.n, self.D, self.name = group, n, D, name
+        mats = [np.asarray(self.matrix(g)) for g in group.elements]
+        for g, m in zip(group.elements, mats):
+            _require_square(name, g, m.shape, n)
+        self._stack = np.array(mats)
+        self._stack.setflags(write=False)
+        self.D = dict(zip(group.elements, self._stack))
 
     def matrix(self, g: str) -> np.ndarray:
         try:
@@ -141,8 +143,7 @@ def _require_square(name: str, g: str, shape: tuple, n: int) -> None:
                                 f"expected {(n, n)}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Residuals collected by :func:`verify_irrep`.
 
     ``irreducibility_indicator`` is the character norm
@@ -160,7 +161,7 @@ class ValidationReport:
     orthogonality_residual: float
     resolution_residual: float
     tolerance: float
-    failures: tuple[str, ...] = field(default_factory=tuple)
+    failures: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -223,18 +224,7 @@ def load_group(document) -> GroupSpec:
     MissingIdentity, MissingInverse or NonAssociative, naming the first
     offending element(s) in element order.
     """
-    return group_from_table(check_table(document))
-
-
-def group_from_table(checked: CayleyTable) -> GroupSpec:
-    """The group of a table that :func:`rbw.cayley.check_table` passed."""
-    table = np.array(checked.rows, dtype=np.intp)
-    inverse = np.array(checked.inverse, dtype=np.intp)
-    table.setflags(write=False)
-    inverse.setflags(write=False)
-    return GroupSpec(elements=checked.elements, table=table,
-                     identity=checked.elements[checked.identity],
-                     inverse=inverse, index=checked.index)
+    return GroupSpec(check_table(document))
 
 
 def load_irrep(document, name: str, group: GroupSpec | None = None) -> Irrep:

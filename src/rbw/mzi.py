@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,8 +63,7 @@ _CSV_CHUNK_ROWS = 2048
 _FAST_PRECISIONS = range(1, 16)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """One optical element; only phase plates carry a parameter."""
 
     kind: str                  # source | bs | mirrors | phase | detector
@@ -75,14 +73,12 @@ class Element:
         return f"phase:{float(self.a)!r}" if self.kind == "phase" else self.kind
 
 
-@dataclass(frozen=True)
-class ClickDistribution:
+class ClickDistribution(NamedTuple):
     p_D1: float
     p_D2: float
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     ket: np.ndarray
     clicks: ClickDistribution
     stages: tuple[tuple[str, np.ndarray], ...]

@@ -11,8 +11,7 @@ the test suite, so the suite doubles as a quick field diagnostic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +29,7 @@ class CheckFailed(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     description: str
     ok: bool

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +56,7 @@ _EIG_ROUND_OFF = 1e-13
 _GAP_PER_RESIDUAL = 3
 
 
-@dataclass(frozen=True)
-class ExpectationSet:
+class ExpectationSet(NamedTuple):
     """Averages ⟨D(g)⟩ for every element of an irrep's group."""
 
     irrep: Irrep
@@ -71,8 +69,7 @@ class ExpectationSet:
         return tuple(g for g in self.irrep.group.elements if g not in self.values)
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(NamedTuple):
     """Probabilities over a symmetry operator's eigenvalues, degenerate
     eigenvalues merged, ordered by phase."""
 
@@ -91,6 +88,8 @@ def expectations_from_state(rho: np.ndarray, irrep: Irrep) -> ExpectationSet:
     if rho.shape != (irrep.n, irrep.n):
         raise DimensionMismatch(
             f"state is {rho.shape}, irrep {irrep.name!r} is {(irrep.n, irrep.n)}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state has a non-finite entry")
     return ExpectationSet(irrep=irrep, values=dict(zip(irrep.group.elements,
                                                        irrep.traces(rho).tolist())))
 
@@ -251,6 +250,8 @@ def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray]) 
     if basis.shape[0] != zeta.shape[0]:
         raise DimensionMismatch(
             f"ket has dimension {zeta.shape[0]}, basis vectors {basis.shape[0]}")
+    if not np.isfinite(zeta).all():
+        raise ValueError("ket has a non-finite entry")
     gram = _minus_identity(basis.conj().T @ basis)
     require(float(np.abs(gram).max()), "max |<b_i|b_j> - delta_ij|", NonOrthonormalBasis)
     return basis.conj().T @ zeta

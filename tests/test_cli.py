@@ -276,6 +276,10 @@ def test_module_budget_keeps_the_start_up_cuts():
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"} & set(budget["contract"])
     for case in ("boost", "scenario", "sweep", "mzi", "group-check"):
         assert "json" not in budget[case], case
+    # the numpy layers build NamedTuples and plain classes, no dataclass
+    for case in ("group-check", "group-check-file", "reconstruct", "mzi", "mzi-pipeline",
+                 "sweep"):
+        assert not {"dataclasses", "copy"} & set(budget[case]), case
     for case, (_, baseline, _) in _BUDGET_CASES.items():
         assert baseline or "numpy" not in budget[case], case
 
@@ -337,6 +341,15 @@ def test_numpy_free_modules_import_no_numpy(module):
             assert name.split(".")[0] in _NUMPY_FREE, (module, name)
         else:
             assert name.split(".")[0] != "numpy", (module, name)
+
+
+def test_only_relsim_imports_dataclasses():
+    # records are NamedTuples or plain classes; relsim keeps Boost and
+    # SpacetimeEvent as dataclasses, whose frozen error and replace() are pinned
+    importers = {path.name for path in Path(rbw.__file__).parent.glob("*.py")
+                 for name, relative in _imports(ast.parse(path.read_text()).body, True)
+                 if not relative and name.split(".")[0] == "dataclasses"}
+    assert importers == {"relsim.py"}
 
 
 def test_symmetry_state_forms_no_group_sum_of_its_own():
@@ -453,10 +466,39 @@ def test_boost_velocity_in_km_s(capsys):
 
 
 def test_boost_negative_fraction(capsys):
-    # --v=-0.6c: argparse needs the = form for leading-minus values
+    # --v=-0.6c: the = form, which argparse has always taken
     code, out, _ = run(capsys, "boost", "--v=-0.6c", "--t", "0", "--x", "1000")
     assert code == 0
     assert out == "T=0.0025 s, X=1250 km\n"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--v", "-0.6c", "--t", "0", "--x", "1000"], "T=0.0025 s, X=1250 km\n"),
+    (["--v", "0.6c", "--t", "-1e-3", "--x", "1000"], "T=-0.00375 s, X=1475 km\n"),
+    (["--v", "-0.6c", "--t", "-1e-3", "--x", "-2.5e3"], "T=-0.0075 s, X=-3350 km\n"),
+    (["--v", "-.6c", "--t", "0", "--x", "1000"], "T=0.0025 s, X=1250 km\n"),
+], ids=["v", "t", "all", "no-leading-digit"])
+def test_boost_takes_negative_values_after_a_space(capsys, argv, expected):
+    # argparse alone reads -0.6c and -1e-3 as unknown options; no rbw option
+    # looks like a number, so every such token is a value
+    code, out, err = run(capsys, "boost", *argv)
+    assert (code, out, err) == (0, expected, "")
+    joined = [f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2])]
+    assert run(capsys, "boost", *joined) == (0, expected, "")
+
+
+def test_sweep_takes_a_negative_exponent_after_a_space(capsys):
+    spaced = run(capsys, "sweep", "--k0", "2", "--a-min", "-1e-3", "--a-max", "1",
+                 "--steps", "2")
+    joined = run(capsys, "sweep", "--k0=2", "--a-min=-1e-3", "--a-max=1", "--steps=2")
+    assert spaced == joined and spaced[0] == 0
+    assert spaced[1].splitlines()[1].startswith("-0.001,")
+
+
+def test_a_dash_word_is_still_no_value(capsys):
+    # only a dash before a digit, or before a point and a digit, makes a value
+    code, _, err = run(capsys, "boost", "--v", "-c", "--t", "0", "--x", "1")
+    assert code == 1 and "--v: expected one argument" in err
 
 
 @pytest.mark.parametrize("v", ["--v=1.2c", "--v=300000", "--v=-c"])

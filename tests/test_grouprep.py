@@ -86,6 +86,30 @@ def test_document_roundtrip():
         assert verify_irrep(irr).ok
 
 
+def test_validation_report_is_a_record_of_ten_fields():
+    assert grouprep.ValidationReport._fields == (
+        "name", "n", "N", "max_unitarity_residual", "max_homomorphism_residual",
+        "irreducibility_indicator", "orthogonality_residual", "resolution_residual",
+        "tolerance", "failures")
+    assert grouprep.ValidationReport._field_defaults == {"failures": ()}
+    report = verify_irrep(catalog.z2_irreps()["sign"])
+    assert report.ok and report.failures == () and report[:3] == ("sign", 1, 2)
+    with pytest.raises(AttributeError):
+        report.name = "other"
+
+
+def test_irrep_stacks_its_rows_once_and_compares_by_identity():
+    group = catalog.z2_group()
+    matrices = {"e": np.eye(1), "r": -np.eye(1)}
+    irr = Irrep(group, 1, matrices, "sign")
+    twin = Irrep(group=group, n=1, D=matrices, name="sign")
+    assert irr != twin and len({irr, twin}) == 2
+    assert not irr.stacked().flags.writeable
+    for g in group.elements:
+        assert np.shares_memory(irr.D[g], irr.stacked())
+        assert np.array_equal(irr.matrix(g), matrices[g])
+
+
 def test_load_group_accepts_json_text():
     import json
     g = load_group(json.dumps(catalog.s3_document()))
@@ -413,6 +437,21 @@ def test_dihedral_tables_match_the_loop_oracle(m, seed):
         for h in group.elements:
             assert group.product(g, h) == doc["mul"][f"{g},{h}"]
     assert group_document(group)["mul"] == dict(sorted(doc["mul"].items()))
+
+
+@pytest.mark.parametrize("doc", [catalog.s3_document(), dihedral_document(5, 1)],
+                         ids=["s3", "dihedral-10"])
+def test_group_spec_is_made_from_a_checked_table(doc):
+    made, loaded = grouprep.GroupSpec(cayley.check_table(doc)), load_group(doc)
+    assert made.elements == loaded.elements and made.identity == loaded.identity
+    assert made.index == loaded.index
+    for name in ("table", "inverse"):
+        ours, theirs = getattr(made, name), getattr(loaded, name)
+        assert ours.dtype == np.intp and np.array_equal(ours, theirs)
+        assert not ours.flags.writeable and not theirs.flags.writeable
+    # groups compare and hash by identity
+    assert made != loaded and len({made, loaded}) == 2
+    assert not hasattr(grouprep, "group_from_table")
 
 
 @pytest.mark.parametrize("m,seed", DIHEDRAL)

@@ -645,3 +645,17 @@ def test_bad_pipeline_documents(doc):
 
 def test_minus_ket_orthogonal():
     assert np.vdot(plus_ket(), minus_ket()) == 0
+
+
+def test_pipeline_records_are_named_tuples():
+    assert Element._fields == ("kind", "a") and Element._field_defaults == {"a": None}
+    assert ClickDistribution._fields == ("p_D1", "p_D2")
+    assert ClickDistribution._field_defaults == {}
+    assert mzi.PipelineResult._fields == ("ket", "clicks", "stages")
+    assert mzi.PipelineResult._field_defaults == {}
+    assert Element("bs") == ("bs", None) and Element("phase", 0.3).token() == "phase:0.3"
+    result = run_pipeline([Element("source"), Element("bs"), Element("detector")], 2.0)
+    p_d1, p_d2 = result.clicks
+    assert (p_d1, p_d2) == (result.clicks.p_D1, result.clicks.p_D2)
+    with pytest.raises(AttributeError):
+        result.clicks.p_D1 = 1.0

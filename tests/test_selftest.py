@@ -14,6 +14,14 @@ def test_every_check_passes():
     assert len(results) == len(selftest.all_checks())
 
 
+def test_check_result_is_a_record_of_four_fields():
+    assert selftest.CheckResult._fields == ("check_id", "description", "ok", "detail")
+    assert selftest.CheckResult._field_defaults == {}
+    first = next(iter(selftest.all_checks()))
+    check_id, description, ok, _ = selftest.run_checks([first])[0]
+    assert (check_id, description, ok) == (first, selftest.all_checks()[first], True)
+
+
 def test_registry_hygiene():
     ids = list(selftest.all_checks())
     assert len(ids) == len(set(ids))

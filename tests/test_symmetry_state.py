@@ -17,6 +17,7 @@ from rbw.errors import (
 from rbw.symmetry_state import (
     _GAP_PER_RESIDUAL,
     ExpectationSet,
+    OutcomeDistribution,
     density_document,
     eigendecompose,
     expand_eigenket,
@@ -560,6 +561,10 @@ def test_non_finite_inputs_fail_the_spectral_guards(bad):
         outcome_probabilities(np.eye(2) / 2, poisoned)
     with pytest.raises(NonOrthonormalBasis):
         expand_eigenket([1, 0], [poisoned[0], poisoned[1]])
+    with pytest.raises(ValueError, match="state has a non-finite entry"):
+        expectations_from_state(poisoned, catalog.s3_irreps()["standard"])
+    with pytest.raises(ValueError, match="ket has a non-finite entry"):
+        expand_eigenket([1, bad], [np.array([1, 0]), np.array([0, 1])])
 
 
 @pytest.mark.parametrize("document,match", [
@@ -575,3 +580,15 @@ def test_non_finite_inputs_fail_the_spectral_guards(bad):
 def test_malformed_expectation_documents(document, match):
     with pytest.raises(ValueError, match=match):
         load_expectations(document, catalog.z2_irreps()["sign"])
+
+
+def test_state_records_are_named_tuples():
+    assert ExpectationSet._fields == ("irrep", "values")
+    assert ExpectationSet._field_defaults == {}
+    assert OutcomeDistribution._fields == ("eigenvalues", "probabilities")
+    assert OutcomeDistribution._field_defaults == {}
+    dist = outcome_probabilities(np.diag([0.75, 0.25]), np.diag([1.0, -1.0]))
+    assert dist == ((1, -1), (0.75, 0.25)) and dist.pairs() == ((1, 0.75), (-1, 0.25))
+    es = expectations_from_state(np.eye(2) / 2, catalog.s3_irreps()["standard"])
+    with pytest.raises(AttributeError):
+        es.values = {}
