@@ -45,9 +45,9 @@ errors, only `rbw.errors.ContractViolation` exits 2; every other exits 1.
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # no option looks like a number, so -0.6c, -1e-3 and -.5 are values;
-        # argparse's own pattern takes only -2, -2.5 and -.5
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # no option looks like a number, so -0.6c, -1e-3, -.5, -inf and -nan
+        # are values; argparse's own pattern takes only -2, -2.5 and -.5
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.I)
 
     # route argparse's own failures through the exit-code policy
     def error(self, message):

@@ -55,6 +55,8 @@ _EIG_ROUND_OFF = 1e-13
 # degenerate pairs); phases within this many r are one outcome
 _GAP_PER_RESIDUAL = 3
 
+_UNITARITY = "max |U U^dag - I|"
+
 
 class ExpectationSet(NamedTuple):
     """Averages ⟨D(g)⟩ for every element of an irrep's group."""
@@ -192,6 +194,49 @@ def eigendecompose(rho: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return [pair for _, pair in keyed]
 
 
+class _Split(NamedTuple):
+    """What outcome_probabilities needs of an operator U, whatever the state."""
+
+    residual: float                      # max |U U^dag - I|
+    vecs: np.ndarray                     # orthonormal eigenvectors as columns, read-only
+    run: tuple[int, ...]                 # outcome index of each eigenvalue, in eig's order
+    eigenvalues: tuple[complex, ...]     # each outcome's first eigenvalue, by phase
+
+
+@functools.lru_cache(maxsize=256)       # bounded: operators come from documents
+def _spectral_split(data: bytes, n: int) -> _Split:
+    """The split of the n x n operator whose complex entries, in C order, are
+    data: a function of U's bits alone, so one computation serves every state.
+    A U that is not finite fails the unitarity guard here, before eig, so it
+    is never cached; a finite residual meets the tolerance in the caller."""
+    u = np.frombuffer(data, dtype=complex).reshape(n, n)
+    residual = float(np.abs(_minus_identity(u @ u.conj().T)).max())
+    if not np.isfinite(residual):        # NaN and inf fail every tolerance
+        require(residual, _UNITARITY, NotUnitary)
+
+    # A unitary is normal: eig's columns span its orthogonal eigenspaces but
+    # can be skewed within a degenerate one, or between close eigenvalues of a
+    # U unitary only to tol.  V = QR then makes U Q = Q (R diag(lam) R^-1) a
+    # Schur form whose column j belongs to lam[j]; skew < 1e-13 shifts p < 1e-12.
+    lam, vecs = np.linalg.eig(u)
+    if not np.abs(_minus_identity(vecs.conj().T @ vecs)).max() <= _EIG_ROUND_OFF:
+        vecs = np.linalg.qr(vecs)[0]
+    vecs.setflags(write=False)
+    gap = max(_EIG_ROUND_OFF, _GAP_PER_RESIDUAL * residual)
+    phases = np.angle(lam)
+    phases[phases <= -np.pi + gap] += 2 * np.pi   # keep the +pi/-pi seam on one side
+    phases = phases.tolist()
+    order = sorted(range(n), key=phases.__getitem__)
+    run = [0] * n                                 # outcome index of each eigenvalue
+    for i, j in zip(order, order[1:]):
+        run[j] = run[i] + (phases[j] - phases[i] > gap)
+    if phases[order[0]] + 2 * np.pi - phases[order[-1]] <= gap:
+        run = [r or run[order[-1]] for r in run]  # the seam closes the circle
+    keys, lam = sorted(set(run)), lam.tolist()    # an outcome is named by its first eigenvalue
+    return _Split(residual, vecs, tuple(keys.index(key) for key in run),
+                  tuple(lam[run.index(key)] for key in keys))
+
+
 def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistribution:
     """Distribution of a symmetry operator's eigenvalues in a state.
 
@@ -202,44 +247,25 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistr
     sorted phases chain while each step is at most the gap, the circle
     closes across +-pi under it, and a phase within it of -pi counts as +pi.
     So phases closer than 3 r are one outcome: the resolution limit.
+
+    The operator's part (residual, eigenvectors, grouping) is computed once
+    per distinct operator and kept, up to 256 of them; every call checks
+    the state and meets the residual against the current tolerance.
     """
     rho = np.asarray(rho, dtype=complex)
     symmetry = np.asarray(symmetry, dtype=complex)
     if rho.shape != symmetry.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(
             f"state {rho.shape} vs operator {symmetry.shape}")
-    n = rho.shape[0]
     _require_hermitian(rho)
-    unit_residual = float(np.abs(_minus_identity(symmetry @ symmetry.conj().T)).max())
-    require(unit_residual, "max |U U^dag - I|", NotUnitary)
+    split = _spectral_split(symmetry.tobytes(), rho.shape[0])
+    require(split.residual, _UNITARITY, NotUnitary)
 
-    # A unitary is normal: eig's columns span its orthogonal eigenspaces but
-    # can be skewed within a degenerate one, or between close eigenvalues of a
-    # U unitary only to tol.  V = QR then makes U Q = Q (R diag(lam) R^-1) a
-    # Schur form whose column j belongs to lam[j]; skew < 1e-13 shifts p < 1e-12.
-    lam, vecs = np.linalg.eig(symmetry)
-    if not np.abs(_minus_identity(vecs.conj().T @ vecs)).max() <= _EIG_ROUND_OFF:
-        vecs = np.linalg.qr(vecs)[0]
-    probs = (vecs.conj() * (rho @ vecs)).sum(axis=0).real.tolist()
-    gap = max(_EIG_ROUND_OFF, _GAP_PER_RESIDUAL * unit_residual)
-    phases = np.angle(lam)
-    phases[phases <= -np.pi + gap] += 2 * np.pi   # keep the +pi/-pi seam on one side
-    phases = phases.tolist()
-    order = sorted(range(n), key=phases.__getitem__)
-    run = [0] * n                                 # outcome index of each eigenvalue
-    for i, j in zip(order, order[1:]):
-        run[j] = run[i] + (phases[j] - phases[i] > gap)
-    if phases[order[0]] + 2 * np.pi - phases[order[-1]] <= gap:
-        run = [r or run[order[-1]] for r in run]  # the seam closes the circle
-    merged: dict[int, tuple[complex, float]] = {}
-    for lam_j, key, p in zip(lam.tolist(), run, probs):
-        lam0, p0 = merged.get(key, (lam_j, 0.0))
-        merged[key] = (lam0, p0 + p)
-    keys = sorted(merged)
-    return OutcomeDistribution(
-        eigenvalues=tuple(merged[k][0] for k in keys),
-        probabilities=tuple(merged[k][1] for k in keys),
-    )
+    probs = (split.vecs.conj() * (rho @ split.vecs)).sum(axis=0).real.tolist()
+    totals = [0.0] * len(split.eigenvalues)
+    for i, p in zip(split.run, probs):
+        totals[i] += p
+    return OutcomeDistribution(eigenvalues=split.eigenvalues, probabilities=tuple(totals))
 
 
 def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray]) -> np.ndarray:

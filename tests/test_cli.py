@@ -495,6 +495,28 @@ def test_sweep_takes_a_negative_exponent_after_a_space(capsys):
     assert spaced[1].splitlines()[1].startswith("-0.001,")
 
 
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-NaN"])
+@pytest.mark.parametrize("before,flag,after", [
+    (["boost"], "--v", ["--t", "0", "--x", "1"]),
+    (["boost", "--v", "0.6c"], "--t", ["--x", "1"]),
+    (["boost", "--v", "0.6c"], "--c", ["--t", "0", "--x", "1"]),
+    (["contract"], "--c", []),
+    (["contract"], "--m", []),
+    (["contract"], "--hbar", []),
+    (["sweep", "--k0", "2"], "--a-min", ["--a-max", "1", "--steps", "2"]),
+], ids=["boost-v", "boost-t", "boost-c", "contract-c", "contract-m", "contract-hbar",
+        "sweep-a-min"])
+def test_negative_inf_and_nan_after_a_space_reach_the_value_check(capsys, before, flag,
+                                                                    after, value):
+    # a space and an = give the command the same token, so the same refusal
+    spaced = run(capsys, *before, flag, value, *after)
+    joined = run(capsys, *before, f"{flag}={value}", *after)
+    assert spaced == joined
+    code, out, err = spaced
+    assert code == 1 and out == "" and "expected one argument" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_a_dash_word_is_still_no_value(capsys):
     # only a dash before a digit, or before a point and a digit, makes a value
     code, _, err = run(capsys, "boost", "--v", "-c", "--t", "0", "--x", "1")

@@ -14,22 +14,32 @@ case in-process, and the oracle asks that:
   stdout (the input is refused before any report starts).
 
 The document paths are drawn from a fixed seed; every numeric flag meets
-every junk value.
+every junk value.  A boundary walk does the same for the library: every
+float parameter of a public numeric callable meets NaN, +-inf, +-1e308,
+5e307, 1e-320 and 0.
 """
 
 import contextlib
 import copy
+import dataclasses
 import functools
+import inspect
 import io
 import json
+import math
 import operator
 import random
 import re
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rbw import catalog, cli
+import rbw
+from rbw import catalog, cli, contraction
+from rbw.errors import RBWError
+from rbw.mzi import Element
 
 SEED = 7
 MUTATIONS_PER_DOCUMENT = 100
@@ -143,3 +153,100 @@ def test_junk_numeric_flags_fail_closed(subcommand):
             else:
                 changed[i] = f"{flag}={_flag_text(junk)}"
             _check_oracle(changed)
+
+
+# ------------------------------------------------------------- boundary walk
+# Every float parameter of rbw's public numeric callables, reached directly or
+# through the record it builds, meets each boundary value in turn while the
+# others keep a valid base value.  The call must return a finite result or
+# raise ValueError or an RBWError: no NaN or inf out, no other exception, and
+# no numpy warning (pytest turns those into errors).
+
+BOUNDARY = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e307, 1e-320, 0.0]
+
+
+def _pipeline(a):
+    return [Element("source"), Element("bs"), Element("mirrors"), Element("phase", a),
+            Element("bs"), Element("detector")]
+
+
+# name in rbw.__all__ -> (call taking the floats by name, their base values)
+WALKS = {
+    "ccr_check": (lambda hbar, m: rbw.ccr_check(rbw.contract(rbw.poincare_table(), 1, 1),
+                                                hbar, m), {"hbar": 1.5, "m": 2.0}),
+    "contract": (lambda hbar, m: rbw.contract(rbw.poincare_table(), hbar, m),
+                 {"hbar": 1.5, "m": 2.0}),
+    "beam_splitter_op": (lambda k0: rbw.beam_splitter_op(k0), {"k0": 2.0}),
+    "reflection_op": (lambda a, k0: rbw.reflection_op(a, k0), {"a": 0.3, "k0": 2.0}),
+    "translation_op": (lambda a, k0: rbw.translation_op(a, k0), {"a": 0.3, "k0": 2.0}),
+    "run_pipeline": (lambda a, k0: rbw.run_pipeline(_pipeline(a), k0), {"a": 0.3, "k0": 2.0}),
+    "expectation_T": (lambda a, k0: rbw.expectation_T(np.array([1, 1]) / np.sqrt(2), a, k0),
+                      {"a": 0.3, "k0": 2.0}),
+    "density_from_sweep": (lambda k0, a: rbw.density_from_sweep(k0, [0.0, a]),
+                           {"k0": 2.0, "a": 0.3}),
+    "hamiltonian_expectation": (lambda energy: rbw.hamiltonian_expectation(np.eye(2) / 2,
+                                                                           energy),
+                                {"energy": 1.5}),
+    "Boost": (lambda v, c: rbw.Boost(v, c), {"v": 1000.0, "c": 3e5}),
+    "gamma": (lambda v, c: rbw.gamma(rbw.Boost(v, c)), {"v": 1000.0, "c": 3e5}),
+    "SpacetimeEvent": (lambda t, x: rbw.SpacetimeEvent(t, x), {"t": 1e-3, "x": 1000.0}),
+    "boost_event": (lambda t, x, v, c: rbw.boost_event(rbw.SpacetimeEvent(t, x),
+                                                       rbw.Boost(v, c)),
+                    {"t": 1e-3, "x": 1000.0, "v": 1000.0, "c": 3e5}),
+    "simultaneity_classes": (
+        lambda t, x, v, c: rbw.simultaneity_classes(
+            [rbw.SpacetimeEvent(0.0, 0.0), rbw.SpacetimeEvent(t, x)], rbw.Boost(v, c)),
+        {"t": 1e-3, "x": 1000.0, "v": 1000.0, "c": 3e5}),
+    "interval_class": (lambda t, x, c: rbw.interval_class(rbw.SpacetimeEvent(0.0, 0.0),
+                                                          rbw.SpacetimeEvent(t, x), c),
+                       {"t": 1e-3, "x": 1000.0, "c": 3e5}),
+    "weak_boost_transform": (lambda t, x, v, c: rbw.weak_boost_transform(t, x, v, c),
+                             {"t": 1e-3, "x": 1000.0, "v": 1000.0, "c": 3e5}),
+}
+
+# public callables with no float parameter: they take documents, tables,
+# irreps, arrays or nothing
+NO_FLOAT_PARAMETER = {
+    "RBWError", "GroupSpec", "Irrep", "load_group", "load_irrep", "load_irreps",
+    "verify_irrep", "orthogonality_residual", "resolution_identity", "poincare_table",
+    "galilean_table", "jacobi_residual", "corealness_chain", "eigendecompose",
+    "expand_eigenket", "expectations_from_state", "outcome_probabilities",
+    "reconstruct_density",
+}
+
+
+def _finite(value) -> bool:
+    """No NaN or inf anywhere in a result, records and containers walked."""
+    if isinstance(value, (float, complex)):
+        return math.isfinite(value.real) and math.isfinite(value.imag)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value) if f.repr)
+    if isinstance(value, contraction.BracketTable):
+        return _finite(value.scale)
+    return isinstance(value, (str, int, Fraction))
+
+
+def test_the_walk_covers_every_public_callable():
+    callables = {name for name in rbw.__all__
+                 if callable(getattr(rbw, name)) and not inspect.ismodule(getattr(rbw, name))}
+    assert callables == set(WALKS) | NO_FLOAT_PARAMETER
+    assert not set(WALKS) & NO_FLOAT_PARAMETER
+
+
+@pytest.mark.parametrize("value", BOUNDARY, ids=repr)
+@pytest.mark.parametrize("name,parameter", [(name, p) for name, (_, base) in WALKS.items()
+                                            for p in base])
+def test_float_parameters_at_the_boundary_fail_closed(name, parameter, value):
+    call, base = WALKS[name]
+    assert _finite(call(**base))
+    try:
+        result = call(**{**base, parameter: value})
+    except (ValueError, RBWError):
+        return
+    assert _finite(result), result

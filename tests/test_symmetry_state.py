@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from rbw import catalog
+from rbw import catalog, symmetry_state
 from rbw.errors import (
     DimensionMismatch,
     InconsistentExpectations,
@@ -592,3 +592,122 @@ def test_state_records_are_named_tuples():
     es = expectations_from_state(np.eye(2) / 2, catalog.s3_irreps()["standard"])
     with pytest.raises(AttributeError):
         es.values = {}
+
+
+# ------------------------------------------------ one split per operator
+
+def uncached_outcomes(rho, u):
+    """outcome_probabilities in one pass that keeps nothing: the residual,
+    eig with its QR fallback, the phase runs and the merge, on every call."""
+    n = len(u)
+    r = float(np.abs(u @ u.conj().T - np.eye(n)).max())
+    lam, vecs = np.linalg.eig(u)
+    if not np.abs(vecs.conj().T @ vecs - np.eye(n)).max() <= 1e-13:
+        vecs = np.linalg.qr(vecs)[0]
+    probs = (vecs.conj() * (rho @ vecs)).sum(axis=0).real.tolist()
+    gap = max(1e-13, _GAP_PER_RESIDUAL * r)
+    phases = np.angle(lam)
+    phases[phases <= -np.pi + gap] += 2 * np.pi
+    phases = phases.tolist()
+    order = sorted(range(n), key=phases.__getitem__)
+    run = [0] * n
+    for i, j in zip(order, order[1:]):
+        run[j] = run[i] + (phases[j] - phases[i] > gap)
+    if phases[order[0]] + 2 * np.pi - phases[order[-1]] <= gap:
+        run = [k or run[order[-1]] for k in run]
+    merged = {}
+    for lam_j, key, p in zip(lam.tolist(), run, probs):
+        lam0, p0 = merged.get(key, (lam_j, 0.0))
+        merged[key] = (lam0, p0 + p)
+    return OutcomeDistribution(tuple(merged[k][0] for k in sorted(merged)),
+                               tuple(merged[k][1] for k in sorted(merged)))
+
+
+def bits(dist):
+    """A distribution's floats as hex strings, so equality means equal bits."""
+    return ([(z.real.hex(), z.imag.hex()) for z in map(complex, dist.eigenvalues)],
+            [float(p).hex() for p in dist.probabilities])
+
+
+def seeded_operators():
+    rng = np.random.default_rng(27)
+    for spectrum in (repeated_phases, seam_phases, close_phases):
+        for n in (2, 3, 5):
+            for noise in (0.0, 1e-12, 1e-11):
+                u = unitary_with_phases(spectrum(rng, n), rng)
+                yield u + noise * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+    for irr in catalog.s3_irreps().values():
+        yield from (irr.matrix(g) for g in irr.group.elements)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Clear the kept splits and count np.linalg.eig calls from here on."""
+    symmetry_state._spectral_split.cache_clear()
+    calls = []
+    eig = np.linalg.eig
+
+    def counting(a):
+        calls.append(a)
+        return eig(a)
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    return calls
+
+
+def test_kept_splits_give_the_bits_of_a_fresh_computation(eig_calls):
+    rng = np.random.default_rng(2027)
+    operators = list(seeded_operators())
+    for u in operators:
+        states = [random_state(len(u), rng) for _ in range(3)]
+        symmetry_state._spectral_split.cache_clear()
+        first = outcome_probabilities(states[0], u)             # computes the split
+        for rho in states:                                      # reuses it
+            assert bits(outcome_probabilities(rho, u)) == bits(uncached_outcomes(rho, u))
+        assert bits(first) == bits(uncached_outcomes(states[0], u))
+    # one eig per operator here, and one in each of the oracle's four calls
+    assert len(eig_calls) == len(operators) * 5
+
+
+def test_twenty_states_over_three_operators_make_three_eig_calls(eig_calls):
+    irr = catalog.s3_irreps()["standard"]
+    operators = [irr.matrix(g) for g in irr.group.elements[:3]]
+    rng = np.random.default_rng(5)
+    for k in range(20):
+        outcome_probabilities(random_state(2, rng), operators[k % 3])
+    assert len(eig_calls) == 3
+
+
+def test_a_kept_split_meets_the_current_tolerance(monkeypatch, eig_calls):
+    rng = np.random.default_rng(11)
+    u = random_unitary(3, rng) + 1e-9 * np.eye(3)           # unitary to about 2e-9
+    rho = random_state(3, rng)
+    monkeypatch.setenv("RBW_TOLERANCE", "1e-7")
+    loose = outcome_probabilities(rho, u)
+    monkeypatch.delenv("RBW_TOLERANCE")
+    with pytest.raises(NotUnitary, match=r"^max \|U U\^dag - I\| = .* exceeds the "
+                                         r"tolerance 1e-10$"):
+        outcome_probabilities(rho, u)
+    monkeypatch.setenv("RBW_TOLERANCE", "1e-7")
+    assert bits(outcome_probabilities(rho, u)) == bits(loose)
+    monkeypatch.setenv("RBW_TOLERANCE", "0")
+    with pytest.raises(ValueError, match="RBW_TOLERANCE"):
+        outcome_probabilities(rho, u)
+    assert len(eig_calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+def test_an_operator_that_is_not_finite_is_refused_before_eig(eig_calls, bad):
+    poisoned = np.array([[1.0, 0.0], [0.0, bad]], dtype=complex)
+    for _ in range(2):
+        with pytest.raises(NotUnitary):
+            outcome_probabilities(np.eye(2) / 2, poisoned)
+    assert eig_calls == [] and symmetry_state._spectral_split.cache_info().currsize == 0
+
+
+def test_a_state_error_comes_before_the_operator_is_split(eig_calls):
+    with pytest.raises(NotHermitian):
+        outcome_probabilities(np.array([[1, 1], [0, 0]]), 2 * np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        outcome_probabilities(np.eye(2), np.eye(3))
+    assert eig_calls == [] and symmetry_state._spectral_split.cache_info().currsize == 0
