@@ -27,7 +27,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from numbers import Integral
 from typing import Mapping, NamedTuple, Union
 
@@ -138,11 +138,6 @@ class BracketTable:
         f.setflags(write=False)
         return f
 
-    @cached_property
-    def _jacobi(self) -> JacobiResult:
-        """The table's Jacobi check, computed once; callers get copies."""
-        return _jacobi_worst(self)
-
     def index(self, g: str) -> int:
         try:
             return self.generators.index(g)
@@ -160,11 +155,9 @@ _LEVI = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
 GENERATORS = ("J1", "J2", "J3", "K1", "K2", "K3", "T1", "T2", "T3", "T0")
 
 
-@cache
 def poincare_table() -> BracketTable:
     """Rotations J, boosts K, space translations T, time translation T0,
-    with every 1/c^2 dependence kept symbolic.  Built once and shared, as
-    is galilean_table: no table operation changes a table."""
+    with every 1/c^2 dependence kept symbolic."""
     at = {g: i for i, g in enumerate(GENERATORS)}
     terms: Table = {}
 
@@ -184,7 +177,6 @@ def poincare_table() -> BracketTable:
     return BracketTable._of("poincare", GENERATORS, terms, 2)
 
 
-@cache
 def galilean_table() -> BracketTable:
     """The same algebra with every 1/c^2-suppressed term deleted up front (its
     degree-0 slice): boosts commute with each other and with space translations."""
@@ -240,14 +232,7 @@ class JacobiResult(NamedTuple):
 def jacobi_residual(table: BracketTable) -> JacobiResult:
     """Largest coefficient magnitude of [x,[y,z]] + [y,[z,x]] + [z,[x,y]] over all
     generator triples, first in combinations order, computed exactly; 0 means Lie
-    algebra.  Each table computes it once; every call gets its own worst_combo."""
-    worst = table._jacobi
-    return worst._replace(worst_combo={g: dict(p) for g, p in worst.worst_combo.items()})
-
-
-def _jacobi_worst(table: BracketTable) -> JacobiResult:
-    """jacobi_residual, computed: each nested [u,[v,w]] sums the stored
-    products f[v,w,b] f[u,b,a]."""
+    algebra.  Each nested [u,[v,w]] sums the stored products f[v,w,b] f[u,b,a]."""
     terms, s, worst = table._terms, table.scale, JacobiResult(0.0, None, {})
     partners: dict[int, list[int]] = {}             # b -> each u with [u, b] stored
     for u, b in terms:

@@ -16,10 +16,9 @@ numbers.  Element labels must not contain a comma, since ``mul`` keys
 are ``"g,h"`` pairs.
 
 Arrays here are read-only, result records are tuples, and the attributes
-of a `GroupSpec` or `Irrep` are not to be rebound once it is made (an
-irrep fills in the check results it keeps, each always to the same
-value); all operations are pure functions, so values can be shared
-freely between threads.
+of a `GroupSpec` or `Irrep` are not to be rebound once it is made; all
+operations are pure functions, so values can be shared freely between
+threads.
 """
 
 from __future__ import annotations
@@ -95,13 +94,10 @@ class Irrep:
     The matrices are stacked once, in the group's element order, when the
     irrep is made, and `D` then maps each element to its read-only row of
     that stack; a matrix that is not n x n raises DimensionMismatch.
-    Irreps compare by identity, as groups do.  The orthogonality residual
-    and the resolved stack of :func:`verify_irrep` are kept once computed,
-    when finite, for :func:`orthogonality_residual` and
-    :func:`resolution_identity` to reuse.
+    Irreps compare by identity, as groups do.
     """
 
-    __slots__ = ("group", "n", "D", "name", "_stack", "_ortho", "_resolved")
+    __slots__ = ("group", "n", "D", "name", "_stack")
 
     def __init__(self, group: GroupSpec, n: int, D: Mapping[str, np.ndarray],
                  name: str = "irrep"):
@@ -112,7 +108,6 @@ class Irrep:
         self._stack = np.array(mats)
         self._stack.setflags(write=False)
         self.D = dict(zip(group.elements, self._stack))
-        self._ortho = self._resolved = None
 
     def matrix(self, g: str) -> np.ndarray:
         try:
@@ -308,11 +303,7 @@ def verify_irrep(irrep: Irrep) -> ValidationReport:
         homo = float(np.max(np.abs(prod - d[group.table])))
         indicator = float(np.sum(np.abs(np.trace(d, axis1=1, axis2=2)) ** 2) / group.N)
         ortho = orthogonality_residual(irrep)
-        resolved = _resolve_all(irrep, prod)
-        resol = float(np.max(np.abs(resolved - d)))
-    if _isfinite(resol):                # so every entry of resolved is finite
-        resolved.setflags(write=False)
-        irrep._resolved = resolved
+        resol = float(np.max(np.abs(_resolve_all(irrep, prod) - d)))
 
     notes = (exceeds(unit, "unitarity residual"),
              exceeds(homo, "homomorphism residual"),
@@ -344,20 +335,14 @@ def orthogonality_residual(irrep: Irrep) -> float:
 
         (n/N) * sum_g D(g^-1)[k,j] D(g)[l,m]  =  delta_jl delta_km
 
-    taken over all index tuples (k, j, l, m).  A finite residual is kept on
-    the irrep, so each irrep computes it once.
+    taken over all index tuples (k, j, l, m).
     """
-    if irrep._ortho is not None:
-        return irrep._ortho
     group, n = irrep.group, irrep.n
     d = irrep.stacked()
     lhs = np.einsum("gkj,glm->kjlm", d[group.inverse], d) * (n / group.N)
     eye = np.eye(n)
     target = np.einsum("jl,km->kjlm", eye, eye)
-    residual = float(np.max(np.abs(lhs - target)))
-    if _isfinite(residual):
-        irrep._ortho = residual
-    return residual
+    return float(np.max(np.abs(lhs - target)))
 
 
 def _resolve_all(irrep: Irrep, prod: np.ndarray) -> np.ndarray:
@@ -375,11 +360,6 @@ def resolution_identity(irrep: Irrep, gprime: str) -> np.ndarray:
         (n/N) * sum_g D(g) * tr{D(g^-1) D(gprime)}
 
     which must reproduce D(gprime) for a unitary irrep.  It costs one
-    (N*n, n) @ (n, n) product, through `Irrep.traces`, or none once
-    :func:`verify_irrep` has resolved every element: the result is then a
-    copy of that stack's row, which has the same bits.
+    (N*n, n) @ (n, n) product, through `Irrep.traces`.
     """
-    d = irrep.matrix(gprime)
-    if irrep._resolved is not None:
-        return irrep._resolved[irrep.group.index[gprime]].copy()
-    return irrep.group_sum(irrep.traces(d)[irrep.group.inverse])
+    return irrep.group_sum(irrep.traces(irrep.matrix(gprime))[irrep.group.inverse])

@@ -55,8 +55,6 @@ _EIG_ROUND_OFF = 1e-13
 # degenerate pairs); phases within this many r are one outcome
 _GAP_PER_RESIDUAL = 3
 
-_UNITARITY = "max |U U^dag - I|"
-
 
 class ExpectationSet(NamedTuple):
     """Averages ⟨D(g)⟩ for every element of an irrep's group."""
@@ -197,22 +195,18 @@ def eigendecompose(rho: np.ndarray) -> list[tuple[float, np.ndarray]]:
 class _Split(NamedTuple):
     """What outcome_probabilities needs of an operator U, whatever the state."""
 
-    residual: float                      # max |U U^dag - I|
     vecs: np.ndarray                     # orthonormal eigenvectors as columns, read-only
     run: tuple[int, ...]                 # outcome index of each eigenvalue, in eig's order
     eigenvalues: tuple[complex, ...]     # each outcome's first eigenvalue, by phase
 
 
 @functools.lru_cache(maxsize=256)       # bounded: operators come from documents
-def _spectral_split(data: bytes, n: int) -> _Split:
+def _spectral_split(data: bytes, n: int, residual: float) -> _Split:
     """The split of the n x n operator whose complex entries, in C order, are
-    data: a function of U's bits alone, so one computation serves every state.
-    A U that is not finite fails the unitarity guard here, before eig, so it
-    is never cached; a finite residual meets the tolerance in the caller."""
+    data, and whose unitarity residual, already within the tolerance, is
+    residual: a function of U's bits alone, so one computation serves every
+    state."""
     u = np.frombuffer(data, dtype=complex).reshape(n, n)
-    residual = float(np.abs(_minus_identity(u @ u.conj().T)).max())
-    if not np.isfinite(residual):        # NaN and inf fail every tolerance
-        require(residual, _UNITARITY, NotUnitary)
 
     # A unitary is normal: eig's columns span its orthogonal eigenspaces but
     # can be skewed within a degenerate one, or between close eigenvalues of a
@@ -233,7 +227,7 @@ def _spectral_split(data: bytes, n: int) -> _Split:
     if phases[order[0]] + 2 * np.pi - phases[order[-1]] <= gap:
         run = [r or run[order[-1]] for r in run]  # the seam closes the circle
     keys, lam = sorted(set(run)), lam.tolist()    # an outcome is named by its first eigenvalue
-    return _Split(residual, vecs, tuple(keys.index(key) for key in run),
+    return _Split(vecs, tuple(keys.index(key) for key in run),
                   tuple(lam[run.index(key)] for key in keys))
 
 
@@ -248,9 +242,9 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistr
     closes across +-pi under it, and a phase within it of -pi counts as +pi.
     So phases closer than 3 r are one outcome: the resolution limit.
 
-    The operator's part (residual, eigenvectors, grouping) is computed once
-    per distinct operator and kept, up to 256 of them; every call checks
-    the state and meets the residual against the current tolerance.
+    Every call checks the state and meets U's residual against the current
+    tolerance; the operator's eigenvectors and grouping are then computed
+    once per distinct operator and kept, up to 256 of them.
     """
     rho = np.asarray(rho, dtype=complex)
     symmetry = np.asarray(symmetry, dtype=complex)
@@ -258,8 +252,9 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistr
         raise DimensionMismatch(
             f"state {rho.shape} vs operator {symmetry.shape}")
     _require_hermitian(rho)
-    split = _spectral_split(symmetry.tobytes(), rho.shape[0])
-    require(split.residual, _UNITARITY, NotUnitary)
+    unit_residual = float(np.abs(_minus_identity(symmetry @ symmetry.conj().T)).max())
+    require(unit_residual, "max |U U^dag - I|", NotUnitary)
+    split = _spectral_split(symmetry.tobytes(), rho.shape[0], unit_residual)
 
     probs = (split.vecs.conj() * (rho @ split.vecs)).sum(axis=0).real.tolist()
     totals = [0.0] * len(split.eigenvalues)

@@ -45,8 +45,8 @@ print(json.dumps({{"problems": problems,
 
 
 def test_rounds_on_warm_caches_pass_their_reference_check():
-    # one process for every seed: later rounds reuse the spectral splits and
-    # constant tables that earlier rounds computed, as the timed rounds do
+    # one process for every seed: later rounds reuse the spectral splits
+    # that earlier rounds computed, as the timed rounds do
     code = WARM_ROUNDS.format(bench=str(REPO / "bench"), rounds=6)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, cwd=REPO,

@@ -260,38 +260,6 @@ def test_jacobi_result_is_a_record_of_three_fields():
         first.residual = 1.0
 
 
-def test_constant_tables_are_built_once_and_checked_once():
-    assert poincare_table() is poincare_table() and galilean_table() is galilean_table()
-    table = poincare_table()
-    assert jacobi_residual(table) == jacobi_residual(table) == (0.0, None, {})
-    assert "_jacobi" in vars(table)                     # kept on the table
-
-
-def test_a_kept_jacobi_result_is_not_shared_with_callers():
-    bad = with_flipped_sign(poincare_table(), "T1", "K1")
-    first = jacobi_residual(bad)
-    first.worst_combo["T0"][1] = (99, 0)
-    first.worst_combo["J1"] = {0: (1, 0)}
-    second = jacobi_residual(bad)
-    assert second.worst_combo == {"T0": {1: (2, 0)}}
-    assert second == _fresh_jacobi(bad) and second.worst_combo is not first.worst_combo
-
-
-def _fresh_jacobi(table):
-    """The Jacobi check of an uncached copy of the table."""
-    return jacobi_residual(pickle.loads(pickle.dumps(table)))
-
-
-@pytest.mark.parametrize("build", [
-    poincare_table, galilean_table, lambda: contract(poincare_table(), Fraction(3, 2), 2),
-    *[lambda x=x, y=y: with_flipped_sign(poincare_table(), x, y)
-      for x, y in (("K1", "K2"), ("J1", "K2"), ("T1", "K1"), ("T0", "K3"))],
-])
-def test_kept_jacobi_results_equal_fresh_ones(build):
-    table = build()
-    assert jacobi_residual(table) == jacobi_residual(table) == _fresh_jacobi(table)
-
-
 def test_jacobi_galilean_exactly_zero():
     assert jacobi_residual(galilean_table()).residual == 0.0
 

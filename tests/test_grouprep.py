@@ -518,53 +518,6 @@ def test_group_sums_keep_the_two_stack_bits(m, seed):
         assert report.resolution_residual == float(np.max(np.abs(table - d)))
 
 
-@pytest.mark.parametrize("m,seed", [(3, 0), (5, 1), (8, 0)])
-def test_verified_irreps_reuse_their_check_results_bit_for_bit(m, seed):
-    for irr in bit_test_variants(load_irreps(dihedral_document(m, seed)), seed):
-        twin = Irrep(group=irr.group, n=irr.n, D=irr.D, name=irr.name)  # checks nothing
-        verify_irrep(irr)
-        assert orthogonality_residual(irr) == orthogonality_residual(twin)
-        for g in irr.group.elements:
-            kept, fresh = resolution_identity(irr, g), resolution_identity(twin, g)
-            assert np.array_equal(bits(kept), bits(fresh))
-            kept[...] = 0                       # a copy: the next caller is unaffected
-            assert np.array_equal(bits(resolution_identity(irr, g)), bits(fresh))
-        with pytest.raises(UnknownElement):
-            resolution_identity(irr, "nowhere")
-
-
-def test_a_verified_irrep_resolves_without_new_products(monkeypatch):
-    irr = load_irreps(dihedral_document(6, 0))["two1"]
-    verify_irrep(irr)
-    orthogonality_residual(irr)
-    monkeypatch.setattr(np, "einsum", None)        # each would fail if called
-    monkeypatch.setattr(irr.group, "inverse", None)
-    for g in irr.group.elements:
-        assert close(resolution_identity(irr, g), irr.matrix(g))
-    assert orthogonality_residual(irr) <= 1e-12
-
-
-def test_an_overflowing_irrep_keeps_nothing_and_warns_every_time():
-    doc = {**catalog.builtin_document("z2"),
-           "irreps": {"sign": {"n": 1, "matrices": {"e": [[[1, 0]]], "r": [[[1e308, 0]]]}}}}
-    irr, twin = load_irrep(doc, "sign"), load_irrep(doc, "sign")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert not verify_irrep(irr).ok
-
-    def warned(call):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = call()
-        return np.isfinite(value).all(), [str(w.message) for w in caught]
-
-    for _ in range(2):     # each call on irr warns as one on the unverified twin
-        for call in (orthogonality_residual, lambda i: resolution_identity(i, "r")):
-            finite, notes = warned(lambda: call(irr))
-            assert (finite, notes) == warned(lambda: call(twin))
-            assert not finite and notes
-
-
 def s3_and_dihedral_irreps():
     yield from catalog.s3_irreps().values()
     for m, seed in DIHEDRAL:

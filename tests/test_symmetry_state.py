@@ -696,8 +696,9 @@ def test_a_kept_split_meets_the_current_tolerance(monkeypatch, eig_calls):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
-def test_an_operator_that_is_not_finite_is_refused_before_eig(eig_calls, bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, 2.0, 1 + 1e-9])
+def test_an_operator_over_the_tolerance_is_refused_before_eig(eig_calls, bad):
+    # finite or not, it fails the unitarity guard before it is split or kept
     poisoned = np.array([[1.0, 0.0], [0.0, bad]], dtype=complex)
     for _ in range(2):
         with pytest.raises(NotUnitary):
