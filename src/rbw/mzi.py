@@ -53,6 +53,9 @@ __all__ = [
 
 SWEEP_COLUMNS = ("a", "p_D1", "p_D2", "ReT", "ImT")
 
+# the interferometer that sweep_rows walks; a detector would apply nothing
+_SWEEP_LAYOUT = ("source", "bs", "mirrors", "phase", "bs")
+
 # rows formatted per write: bounds the memory alive while streaming.  At
 # 4096 rows (160 KB per float temporary) the CSV stage ran about 1.5x
 # slower than at 2048 on a 2-vCPU x86-64 VM with numpy 2.4.
@@ -184,10 +187,10 @@ def _phase_array(phase_values: Iterable[float], k0: float) -> np.ndarray:
 # ----------------------------------------------------------------- pipeline
 
 @functools.lru_cache(maxsize=64)
-def _layout(kinds: tuple[str, ...]) -> int | None:
-    """Check the order of a pipeline's element kinds; return the index of
-    its phase plate, or None.  Cached on the kinds: a bad layout raises and
-    is never cached, so it raises on every call."""
+def _layout(kinds: tuple[str, ...]) -> tuple[int | None, tuple[str, ...]]:
+    """Check the order of a pipeline's element kinds; return its phase
+    plate's index, or None, and its stage labels, the plate's without its
+    shift.  Cached on the kinds: a bad layout raises on every call."""
     known = {"source", "bs", "mirrors", "phase", "detector"}
     for kind in kinds:
         if kind not in known:
@@ -211,17 +214,31 @@ def _layout(kinds: tuple[str, ...]) -> int | None:
                 raise MalformedPipeline(f"{name} must come after the first beam splitter")
             if len(bs_idx) == 2 and i > bs_idx[1]:
                 raise MalformedPipeline(f"{name} must come before the second beam splitter")
-    return kinds.index("phase") if "phase" in kinds else None
+    labels = tuple(f"bs{bs_idx.index(i) + 1}" if k == "bs" else k for i, k in enumerate(kinds))
+    return (kinds.index("phase") if "phase" in kinds else None), labels
 
 
-def _validate_pipeline(elements: Sequence[Element], k0: float) -> None:
-    phase = _layout(tuple(e.kind for e in elements))
-    # phase values change from call to call, so they are checked outside the cache
-    if phase is not None:
-        a = elements[phase].a
-        if a is None or not math.isfinite(a):
-            raise MalformedPipeline("phase plate needs a finite shift, e.g. phase:0.3")
-        _require_finite_phase(a, k0)
+def _walk(kinds: Sequence[str], source: np.ndarray, t_diag: np.ndarray | None,
+          k0: float) -> list[np.ndarray]:
+    """The ket after each element of a checked layout, applied in order to
+    source; the phase plate multiplies by t_diag, the diagonal of T(a).  A
+    (2, 1) source column with an (n, 2, 1) stack of diagonals makes n runs:
+    each element before the plate acts once on the one column, and every
+    product rounds as in a run of a (2,) ket."""
+    q, q_dag, s0 = _operators(k0)
+    ket, kets = source, []
+    for kind in kinds:
+        if kind == "bs":
+            ket = q @ ket
+            q = q_dag           # the second splitter closes the interferometer
+        elif kind == "mirrors":
+            ket = s0 @ ket
+        elif kind == "phase":
+            # the same bits as translation_op(a, k0) @ ket: its zeros add nothing
+            ket = t_diag * ket
+        # no copy: every element makes a new ket and none is written in place
+        kets.append(ket)
+    return kets
 
 
 def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
@@ -232,35 +249,24 @@ def run_pipeline(elements: Sequence[Element], k0: float) -> PipelineResult:
     squared moduli of the final amplitudes, D1 on the |+> component.
     """
     k0 = _require_wavenumber(k0)
-    _validate_pipeline(elements, k0)
+    kinds = tuple(e.kind for e in elements)
+    phase, labels = _layout(kinds)
+    t_diag = None
+    # phase values change from call to call, so they are checked outside the cache
+    if phase is not None:
+        a = elements[phase].a
+        if a is None or not math.isfinite(a):
+            raise MalformedPipeline("phase plate needs a finite shift, e.g. phase:0.3")
+        _require_finite_phase(a, k0)
+        t_diag = _translation_phases(a, k0)
+        labels = (*labels[:phase], f"phase({a:g})", *labels[phase + 1:])
 
-    q, q_dag, s0 = _operators(k0)
-    stages: list[tuple[str, np.ndarray]] = []
-    bs_seen = 0
-    for e in elements:
-        if e.kind == "source":
-            ket = _PLUS
-            label = "source"
-        elif e.kind == "bs":
-            bs_seen += 1
-            ket = (q if bs_seen == 1 else q_dag) @ ket
-            label = f"bs{bs_seen}"
-        elif e.kind == "mirrors":
-            ket = s0 @ ket
-            label = "mirrors"
-        elif e.kind == "phase":
-            # the same bits as translation_op(e.a, k0) @ ket: its zeros add nothing
-            ket = _translation_phases(e.a, k0) * ket
-            label = f"phase({e.a:g})"
-        else:
-            label = "detector"
-        # no copy: every stage makes a new ket and none is written in place
-        stages.append((label, ket))
-
+    kets = _walk(kinds, _PLUS, t_diag, k0)
+    ket = kets[-1]
     clicks = ClickDistribution(p_D1=float(abs(ket[0]) ** 2),
                                p_D2=float(abs(ket[1]) ** 2))
     require(abs(clicks.p_D1 + clicks.p_D2 - 1.0), "ket |norm^2 - 1|", NotUnitary)
-    return PipelineResult(ket=ket, clicks=clicks, stages=tuple(stages))
+    return PipelineResult(ket=ket, clicks=clicks, stages=tuple(zip(labels, kets)))
 
 
 def expectation_T(ket: np.ndarray, a: float, k0: float) -> complex:
@@ -311,19 +317,12 @@ def sample_clicks(clicks: ClickDistribution, shots: int, seed: int = 0) -> tuple
 
 def sweep_rows(k0: float, phase_values: Iterable[float]) -> np.ndarray:
     """Full-interferometer response per phase setting: detector
-    probabilities and the complex translation average at that setting.
-
-    Returns an (n, 5) float array with columns SWEEP_COLUMNS.  Only T(a)
-    depends on the phase, so S(0) Q |+> is formed once and every setting
-    costs one diagonal product and one Q^dagger product.
-    """
+    probabilities and the complex translation average at that setting,
+    as an (n, 5) float array with columns SWEEP_COLUMNS."""
     k0 = _require_wavenumber(k0)
     a = _phase_array(phase_values, k0)
-    q, q_dag, s0 = _operators(k0)
-    arm = s0 @ (q @ plus_ket())
-    # (n, 2, 1) column kets: each stacked product rounds as in run_pipeline
     t_diag = _translation_phases(a, k0).T[:, :, None]
-    ket = q_dag @ (t_diag * arm[:, None])
+    ket = _walk(_SWEEP_LAYOUT, _PLUS[:, None], t_diag, k0)[-1]
     clicks = np.abs(ket[:, :, 0]) ** 2
     norm_residual = float(np.abs(clicks.sum(axis=1) - 1.0).max(initial=0.0))
     require(norm_residual, "ket |norm^2 - 1|", NotUnitary)

@@ -90,8 +90,11 @@ def expectations_from_state(rho: np.ndarray, irrep: Irrep) -> ExpectationSet:
             f"state is {rho.shape}, irrep {irrep.name!r} is {(irrep.n, irrep.n)}")
     if not np.isfinite(rho).all():
         raise ValueError("state has a non-finite entry")
-    return ExpectationSet(irrep=irrep, values=dict(zip(irrep.group.elements,
-                                                       irrep.traces(rho).tolist())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = irrep.traces(rho)
+    if not np.isfinite(traces).all():
+        raise ValueError("state is too large: a trace Tr{rho D(g)} overflows")
+    return ExpectationSet(irrep=irrep, values=dict(zip(irrep.group.elements, traces.tolist())))
 
 
 def reconstruct_density(expectations: ExpectationSet) -> np.ndarray:
@@ -113,17 +116,19 @@ def reconstruct_density(expectations: ExpectationSet) -> np.ndarray:
         raise InconsistentExpectations(f"missing averages for {list(missing)}")
     v = np.array([expectations.values[g] for g in group.elements], dtype=complex)
     # <D(g^-1)> must be the conjugate of <D(g)>; name the first g that is not
-    bad = np.flatnonzero(~(np.abs(v[group.inverse] - v.conj()) <= tol))
+    with np.errstate(invalid="ignore"):     # inf - inf is NaN, which fails
+        bad = np.flatnonzero(~(np.abs(v[group.inverse] - v.conj()) <= tol))
     if len(bad):
         g = group.elements[bad[0]]
         raise InconsistentExpectations(
             f"<D({group.inv(g)})> = {expectations.values[group.inv(g)]} is not the "
             f"conjugate of <D({g})> = {expectations.values[g]}")
 
-    rho = irrep.group_sum(v[group.inverse])
-
-    # argmax names the first worst element, or the first NaN
-    off = np.abs(irrep.traces(rho) - v)
+    # averages near 1e308 can overflow the sum into inf and NaN, which fail below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = irrep.group_sum(v[group.inverse])
+        # argmax names the first worst element, or the first NaN
+        off = np.abs(irrep.traces(rho) - v)
     worst_i = int(np.argmax(off))
     worst = float(off[worst_i])
     if not worst <= tol:
@@ -146,14 +151,19 @@ def reconstruct_density(expectations: ExpectationSet) -> np.ndarray:
 
 # ----------------------------------------------------------------- spectral
 
+# an inf entry, or one near 1e308, makes the residual NaN or inf, which fails
+@np.errstate(over="ignore", invalid="ignore")
 def _require_hermitian(rho: np.ndarray) -> None:
     require(float(np.abs(rho - rho.conj().T).max()), "max |rho - rho^dag|", NotHermitian)
 
 
-def _minus_identity(m: np.ndarray) -> np.ndarray:
-    """m - np.eye(len(m)), bit for bit, in place on a fresh square product m."""
+@np.errstate(over="ignore", invalid="ignore")
+def _off_identity(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a b - I| for a square product, bit for bit as with np.eye; NaN
+    or inf for an inf entry or one near 1e308, which fails every check."""
+    m = a @ b
     m.flat[::len(m) + 1] -= 1
-    return m
+    return float(np.abs(m).max())
 
 
 @functools.cmp_to_key
@@ -176,7 +186,11 @@ def eigendecompose(rho: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """
     rho = np.asarray(rho, dtype=complex)
     _require_hermitian(rho)
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = (rho + rho.conj().T) / 2
+    if not np.isfinite(hermitian).all():
+        raise NotHermitian("rho + rho^dag overflows: an entry is too large")
+    w, v = np.linalg.eigh(hermitian)
     weights = w.tolist()
     level, keyed = 0, []
     for i in reversed(range(len(weights))):      # eigh's weights ascend
@@ -213,7 +227,7 @@ def _spectral_split(data: bytes, n: int, residual: float) -> _Split:
     # U unitary only to tol.  V = QR then makes U Q = Q (R diag(lam) R^-1) a
     # Schur form whose column j belongs to lam[j]; skew < 1e-13 shifts p < 1e-12.
     lam, vecs = np.linalg.eig(u)
-    if not np.abs(_minus_identity(vecs.conj().T @ vecs)).max() <= _EIG_ROUND_OFF:
+    if not _off_identity(vecs.conj().T, vecs) <= _EIG_ROUND_OFF:
         vecs = np.linalg.qr(vecs)[0]
     vecs.setflags(write=False)
     gap = max(_EIG_ROUND_OFF, _GAP_PER_RESIDUAL * residual)
@@ -252,7 +266,7 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistr
         raise DimensionMismatch(
             f"state {rho.shape} vs operator {symmetry.shape}")
     _require_hermitian(rho)
-    unit_residual = float(np.abs(_minus_identity(symmetry @ symmetry.conj().T)).max())
+    unit_residual = _off_identity(symmetry, symmetry.conj().T)
     require(unit_residual, "max |U U^dag - I|", NotUnitary)
     split = _spectral_split(symmetry.tobytes(), rho.shape[0], unit_residual)
 
@@ -273,8 +287,8 @@ def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray]) 
             f"ket has dimension {zeta.shape[0]}, basis vectors {basis.shape[0]}")
     if not np.isfinite(zeta).all():
         raise ValueError("ket has a non-finite entry")
-    gram = _minus_identity(basis.conj().T @ basis)
-    require(float(np.abs(gram).max()), "max |<b_i|b_j> - delta_ij|", NonOrthonormalBasis)
+    require(_off_identity(basis.conj().T, basis), "max |<b_i|b_j> - delta_ij|",
+            NonOrthonormalBasis)
     return basis.conj().T @ zeta
 
 

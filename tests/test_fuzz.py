@@ -16,7 +16,8 @@ case in-process, and the oracle asks that:
 The document paths are drawn from a fixed seed; every numeric flag meets
 every junk value.  A boundary walk does the same for the library: every
 float parameter of a public numeric callable meets NaN, +-inf, +-1e308,
-5e307, 1e-320 and 0.
+5e307, 1e-320 and 0, and so does one entry of each array argument of the
+state functions.
 """
 
 import contextlib
@@ -40,6 +41,7 @@ import rbw
 from rbw import catalog, cli, contraction
 from rbw.errors import RBWError
 from rbw.mzi import Element
+from rbw.symmetry_state import ExpectationSet
 
 SEED = 7
 MUTATIONS_PER_DOCUMENT = 100
@@ -247,6 +249,72 @@ def test_float_parameters_at_the_boundary_fail_closed(name, parameter, value):
     assert _finite(call(**base))
     try:
         result = call(**{**base, parameter: value})
+    except (ValueError, RBWError):
+        return
+    assert _finite(result), result
+
+
+# One entry of each array argument of the state functions meets the same
+# values, under the same oracle.  The base state has no symmetry that an
+# entry could keep: every value but its own changes what is computed.
+
+_RHO = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+_KET = np.array([0.6, 0.8j])
+
+
+def _poked(array, index, value):
+    """A complex copy of array with the entry at index set to value."""
+    array = np.array(array, dtype=complex)
+    array[index] = value
+    return array
+
+
+def _standard():
+    return catalog.s3_irreps()["standard"]
+
+
+def _averages_with(value):
+    values = rbw.expectations_from_state(_RHO, _standard()).values
+    return ExpectationSet(_standard(), {**values, "(12)": value})
+
+
+# "function(argument)" -> (call taking the entry's value, the entry's own value)
+ENTRY_WALKS = {
+    "expectations_from_state(rho)": (
+        lambda x: rbw.expectations_from_state(_poked(_RHO, (1, 1), x), _standard()).values,
+        0.25),
+    "reconstruct_density(expectations)": (
+        lambda x: rbw.reconstruct_density(_averages_with(x)),
+        rbw.expectations_from_state(_RHO, _standard()).values["(12)"]),
+    "eigendecompose(rho)": (lambda x: rbw.eigendecompose(_poked(_RHO, (1, 1), x)), 0.25),
+    "outcome_probabilities(rho)": (
+        lambda x: rbw.outcome_probabilities(_poked(_RHO, (1, 1), x),
+                                            _standard().matrix("(123)")), 0.25),
+    "outcome_probabilities(symmetry)": (
+        lambda x: rbw.outcome_probabilities(_RHO, _poked(_standard().matrix("(12)"), (1, 1), x)),
+        _standard().matrix("(12)")[1, 1]),
+    "expand_eigenket(zeta_ket)": (
+        lambda x: rbw.expand_eigenket(_poked(_KET, 1, x), [np.array([1, 0]), np.array([0, 1])]),
+        0.8j),
+    "expand_eigenket(symmetry_basis)": (
+        lambda x: rbw.expand_eigenket(_KET, list(_poked(np.eye(2), (1, 1), x))), 1.0),
+}
+
+
+def test_the_entry_walk_covers_every_state_function():
+    walked = {name.split("(")[0] for name in ENTRY_WALKS}
+    assert walked == {"expectations_from_state", "reconstruct_density", "eigendecompose",
+                      "outcome_probabilities", "expand_eigenket"}
+    assert walked <= NO_FLOAT_PARAMETER
+
+
+@pytest.mark.parametrize("value", BOUNDARY, ids=repr)
+@pytest.mark.parametrize("name", sorted(ENTRY_WALKS))
+def test_array_entries_at_the_boundary_fail_closed(name, value):
+    call, base = ENTRY_WALKS[name]
+    assert _finite(call(base))
+    try:
+        result = call(value)
     except (ValueError, RBWError):
         return
     assert _finite(result), result

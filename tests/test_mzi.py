@@ -2,7 +2,9 @@
 
 import io
 import math
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -433,11 +435,26 @@ def reference_sweep_rows(k0, phase_values):
     return np.array(rows)
 
 
+def exact_sweep_rows(k0, phase_values):
+    """The rows sweep_rows must give bit for bit: each pipeline's final ket
+    squared as an array, and its translation average."""
+    rows = []
+    for a in phase_values:
+        a = float(a)
+        ket = run_pipeline([Element("source"), Element("bs"), Element("mirrors"),
+                            Element("phase", a), Element("bs"), Element("detector")], k0).ket
+        t_avg = expectation_T(ket, a, k0)
+        rows.append([a, *np.abs(ket) ** 2, t_avg.real, t_avg.imag])
+    return np.array(rows)
+
+
 def assert_matches_reference(k0, grid):
     got = sweep_rows(k0, grid)
     assert got.shape == (len(grid), 5) and got.dtype == np.float64
     worst = np.max(np.abs(got - reference_sweep_rows(k0, grid)), axis=0)
     assert np.all(worst <= SWEEP_ATOL), worst
+    # one walk serves both entry points: equal bits, signed zeros included
+    assert np.array_equal(got.view(np.uint64), exact_sweep_rows(k0, grid).view(np.uint64))
 
 
 @pytest.mark.parametrize("k0", [0.5, 2.0, 6.2832, 9.9])
@@ -452,6 +469,37 @@ def test_sweep_rows_match_scalar_loop(k0):
 ])
 def test_sweep_rows_edge_grids_match_scalar_loop(grid):
     assert_matches_reference(K0, grid)
+
+
+def python_lines(call, *args):
+    """The `line` events that call(*args) runs in rbw's own frames."""
+    root = os.path.dirname(mzi.__file__) + os.sep
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if not frame.f_code.co_filename.startswith(root):
+            return None                  # no line events from other frames
+        count += event == "line"
+        return trace
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="counts the line events of CPython's tracer")
+@pytest.mark.parametrize("sweep", [sweep_rows, density_from_sweep])
+def test_sweeps_run_no_python_per_point(sweep):
+    # after a warm call, the count is flat in n: the walk is applied to the
+    # stack, not to each setting
+    sweep(K0, [0.1])
+    small, large = np.linspace(-1.0, 1.0, 10), np.linspace(-1.0, 1.0, 10_000)
+    assert python_lines(sweep, K0, small) == python_lines(sweep, K0, large) > 0
 
 
 def test_sweep_rows_do_not_loop_over_pipelines(monkeypatch):

@@ -512,7 +512,6 @@ def test_density_document_shape():
 
 # ------------------------------------------------------- fail closed on NaN
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_averages_rejected(bad):
     sign = catalog.z2_irreps()["sign"]
@@ -549,7 +548,6 @@ def test_conjugation_names_the_first_element():
         reconstruct_density(ExpectationSet(irrep=irr, values=values))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_inputs_fail_the_spectral_guards(bad):
     poisoned = np.array([[0.5, 0.0], [0.0, bad]], dtype=complex)
@@ -565,6 +563,23 @@ def test_non_finite_inputs_fail_the_spectral_guards(bad):
         expectations_from_state(poisoned, catalog.s3_irreps()["standard"])
     with pytest.raises(ValueError, match="ket has a non-finite entry"):
         expand_eigenket([1, bad], [np.array([1, 0]), np.array([0, 1])])
+
+
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_entries_too_large_to_add_are_refused_without_a_warning(big):
+    # finite entries whose sums overflow: the suite turns any numpy warning into an error
+    with pytest.raises(ValueError, match=r"state is too large: a trace Tr\{rho D\(g\)\} overflows"):
+        expectations_from_state(np.diag([big, big]), catalog.s3_irreps()["standard"])
+    with pytest.raises(InconsistentExpectations, match="is off by nan"):
+        reconstruct_density(ExpectationSet(catalog.z2_irreps()["trivial"], {"e": big, "r": big}))
+    with pytest.raises(NotHermitian, match=r"rho \+ rho\^dag overflows"):
+        eigendecompose(np.diag([0.5, big]))
+    with pytest.raises(NotHermitian, match=r"max \|rho - rho\^dag\| = inf"):
+        outcome_probabilities(np.array([[0.5, big], [-big, 0.5]]), np.eye(2))
+    with pytest.raises(NotUnitary, match=r"max \|U U\^dag - I\| = inf"):
+        outcome_probabilities(np.eye(2) / 2, np.diag([1.0, big]))
+    with pytest.raises(NonOrthonormalBasis, match=r"= inf exceeds"):
+        expand_eigenket([1, 0], [np.array([1.0, 0.0]), np.array([0.0, big])])
 
 
 @pytest.mark.parametrize("document,match", [
@@ -695,7 +710,6 @@ def test_a_kept_split_meets_the_current_tolerance(monkeypatch, eig_calls):
     assert len(eig_calls) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, 2.0, 1 + 1e-9])
 def test_an_operator_over_the_tolerance_is_refused_before_eig(eig_calls, bad):
     # finite or not, it fails the unitarity guard before it is split or kept
