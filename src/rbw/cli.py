@@ -128,17 +128,13 @@ def _irreps(spec: str, name: str | None):
 
 def parse_velocity(text: str, c: float) -> float:
     """km/s, or a multiple of the light speed with the suffix `c`."""
-    body = text.strip()
+    body, scale = text.strip(), 1.0
     if body.endswith(("c", "C")):
-        body = body[:-1].strip()
+        body, scale = body[:-1].strip(), c
         if body in ("", "+", "-"):
             body += "1"
-        try:
-            return float(body) * c
-        except ValueError:
-            raise UsageError(f"bad velocity {text!r}") from None
     try:
-        return float(body)
+        return float(body) * scale
     except ValueError:
         raise UsageError(f"bad velocity {text!r}") from None
 
@@ -295,8 +291,7 @@ def cmd_scenario(args) -> int:
                        "primed": {"t": report.boosted[name].t,
                                   "x": report.boosted[name].x}}
                 for name, e in report.events.items()},
-            "links": [{"a": l.a, "b": l.b, "frame": l.frame, "time": l.time,
-                       "note": l.note} for l in report.links],
+            "links": [link._asdict() for link in report.links],
             "conclusions": list(report.conclusions),
             "lengths_km": dict(report.lengths),
         }

@@ -330,6 +330,8 @@ def _pair_products(d: np.ndarray) -> np.ndarray:
     return (d.reshape(-1, n) @ d).reshape(big_n, big_n, n, n).swapaxes(0, 1)
 
 
+# huge entries overflow into inf and NaN, which exceeds refuses
+@np.errstate(over="ignore", invalid="ignore")
 def orthogonality_residual(irrep: Irrep) -> float:
     """Worst-case deviation of the irrep from the orthogonality relation
 
@@ -354,6 +356,7 @@ def _resolve_all(irrep: Irrep, prod: np.ndarray) -> np.ndarray:
     return irrep.group_sum(np.ascontiguousarray(traces.T))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def resolution_identity(irrep: Irrep, gprime: str) -> np.ndarray:
     """Resolve D(gprime) through the group sum
 

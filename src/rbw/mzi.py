@@ -293,8 +293,11 @@ def density_from_sweep(k0: float, phase_values: Iterable[float]) -> np.ndarray:
 def hamiltonian_expectation(rho: np.ndarray, energy: float) -> float:
     """Tr{rho . E I} = E for any unit-trace state: the energy rides along
     without constraining the interference statistics."""
-    # a float product, whose overflow gives inf and no numpy warning
-    value = float(energy) * float(np.trace(np.asarray(rho, dtype=complex)).real)
+    # a huge entry makes the trace inf or NaN, and a float product's overflow
+    # gives inf with no numpy warning; either fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(np.trace(np.asarray(rho, dtype=complex)).real)
+    value = float(energy) * trace
     if not math.isfinite(value):
         raise ValueError(f"energy E = {energy} gives a non-finite Tr(rho E) = {value}")
     return value

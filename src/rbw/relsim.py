@@ -291,21 +291,18 @@ def corealness_chain() -> ScenarioReport:
     # girls' frame Alice rides at event3's X and Kim at event2's; their
     # separation on the boys' t = 0 slice needs both positions there,
     # found by boosting back from the girls' frame.
-    alice_x, kim_x = boosted["event3"].x, boosted["event2"].x
+    riders = {"Alice": boosted["event3"].x, "Kim": boosted["event2"].x}
     inv = boost.inverse()
-    alice_at_t0 = boost_event(
-        SpacetimeEvent(t=-boost.v * alice_x / boost.c ** 2, x=alice_x, frame="girls",
-                       label="Alice"),
-        inv, target_frame="boys")
-    kim_at_t0 = boost_event(
-        SpacetimeEvent(t=-boost.v * kim_x / boost.c ** 2, x=kim_x, frame="girls",
-                       label="Kim"),
-        inv, target_frame="boys")
+    at_t0 = {rider: boost_event(
+                 SpacetimeEvent(t=-boost.v * x / boost.c ** 2, x=x, frame="girls",
+                                label=rider),
+                 inv, target_frame="boys").x
+             for rider, x in riders.items()}
     lengths = {
         "joe_bob_boys": events["event2"].x - events["event1"].x,
         "joe_bob_girls": boosted["event3"].x,
-        "kim_alice_girls": kim_x - alice_x,
-        "kim_alice_boys": kim_at_t0.x - alice_at_t0.x,
+        "kim_alice_girls": riders["Kim"] - riders["Alice"],
+        "kim_alice_boys": at_t0["Kim"] - at_t0["Alice"],
     }
 
     return ScenarioReport(boost=boost, gamma=g, events=events, boosted=boosted,

@@ -203,38 +203,38 @@ def check_mzi_sweep_columns() -> str:
 
 # ----------------------------------------------------------- boost checks
 
+def _scenario() -> tuple[list[relsim.SpacetimeEvent], relsim.Boost]:
+    """The scenario's three boys'-frame events and its 0.6c boost."""
+    report = relsim.corealness_chain()
+    return list(report.events.values()), report.boost
+
+
 @_check("rel-gamma", "time-dilation factor at 0.6c")
 def check_rel_gamma() -> str:
-    got = relsim.gamma(relsim.Boost(v=0.6 * relsim.SPEED_OF_LIGHT))
+    got = relsim.gamma(_scenario()[1])
     _close(got, 1.25, tol=1e-14)
     return "gamma(0.6c) = 1.25"
 
 
 @_check("rel-boost-past", "simultaneous distant event lands in the moving frame's past")
 def check_rel_boost_past() -> str:
-    out = relsim.boost_event(relsim.SpacetimeEvent(t=0.0, x=1000.0, frame="boys"),
-                             relsim.Boost(v=0.6 * relsim.SPEED_OF_LIGHT))
+    (_, e2, _), boost = _scenario()
+    out = relsim.boost_event(e2, boost)
     _close([out.t, out.x], [-0.0025, 1250.0], tol=1e-9)
     return f"(0 s, 1000 km) -> ({out.t:g} s, {out.x:g} km)"
 
 
 @_check("rel-boost-zero", "later distant event lands on the moving frame's zero slice")
 def check_rel_boost_zero() -> str:
-    out = relsim.boost_event(relsim.SpacetimeEvent(t=0.002, x=1000.0, frame="boys"),
-                             relsim.Boost(v=0.6 * relsim.SPEED_OF_LIGHT))
+    (_, _, e3), boost = _scenario()
+    out = relsim.boost_event(e3, boost)
     _close([out.t, out.x], [0.0, 800.0], tol=1e-9)
     return f"(0.002 s, 1000 km) -> ({out.t:g} s, {out.x:g} km)"
 
 
-def _scenario_events():
-    return [relsim.SpacetimeEvent(t=0.0, x=0.0, frame="boys", label="event1"),
-            relsim.SpacetimeEvent(t=0.0, x=1000.0, frame="boys", label="event2"),
-            relsim.SpacetimeEvent(t=0.002, x=1000.0, frame="boys", label="event3")]
-
-
 @_check("rel-simultaneity-rest", "rest frame keeps the event pair in one class")
 def check_rel_simultaneity_rest() -> str:
-    e1, e2, _ = _scenario_events()
+    e1, e2, _ = _scenario()[0]
     classes = relsim.simultaneity_classes([e1, e2], relsim.Boost(v=0.0))
     _need(len(classes) == 1, f"expected one class, got {len(classes)}")
     return "unboosted frame keeps the pair simultaneous"
@@ -242,9 +242,8 @@ def check_rel_simultaneity_rest() -> str:
 
 @_check("rel-simultaneity-split", "boost splits the simultaneous pair")
 def check_rel_simultaneity_split() -> str:
-    e1, e2, _ = _scenario_events()
-    classes = relsim.simultaneity_classes(
-        [e1, e2], relsim.Boost(v=0.6 * relsim.SPEED_OF_LIGHT))
+    (e1, e2, _), boost = _scenario()
+    classes = relsim.simultaneity_classes([e1, e2], boost)
     _need(len(classes) == 2, f"expected two classes, got {len(classes)}")
     _close([c.time for c in classes], [-0.0025, 0.0], tol=1e-12)
     return "boost splits the pair to T = -0.0025 s and T = 0"
@@ -252,9 +251,8 @@ def check_rel_simultaneity_split() -> str:
 
 @_check("rel-simultaneity-align", "boost aligns events with different unprimed times")
 def check_rel_simultaneity_align() -> str:
-    e1, _, e3 = _scenario_events()
-    classes = relsim.simultaneity_classes(
-        [e1, e3], relsim.Boost(v=0.6 * relsim.SPEED_OF_LIGHT))
+    (e1, _, e3), boost = _scenario()
+    classes = relsim.simultaneity_classes([e1, e3], boost)
     _need(len(classes) == 1, f"expected one class, got {len(classes)}")
     _close(classes[0].time, 0.0, tol=1e-12)
     return "distinct unprimed times land on the shared T = 0 slice"

@@ -15,6 +15,7 @@ complex) unit-circle eigenvalues, and expansions between eigenbases.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from typing import Mapping, NamedTuple, Sequence
 
@@ -115,20 +116,18 @@ def reconstruct_density(expectations: ExpectationSet) -> np.ndarray:
     if missing:
         raise InconsistentExpectations(f"missing averages for {list(missing)}")
     v = np.array([expectations.values[g] for g in group.elements], dtype=complex)
-    # <D(g^-1)> must be the conjugate of <D(g)>; name the first g that is not
-    with np.errstate(invalid="ignore"):     # inf - inf is NaN, which fails
+    # <D(g^-1)> must be the conjugate of <D(g)>, and the group sum must reproduce
+    # v; averages near 1e308 or inf overflow into inf and NaN, which fail both
+    with np.errstate(over="ignore", invalid="ignore"):
         bad = np.flatnonzero(~(np.abs(v[group.inverse] - v.conj()) <= tol))
-    if len(bad):
+        rho = irrep.group_sum(v[group.inverse])
+        # argmax names the first worst element, or the first NaN
+        off = np.abs(irrep.traces(rho) - v)
+    if len(bad):      # name the first g whose inverse's average is not its conjugate
         g = group.elements[bad[0]]
         raise InconsistentExpectations(
             f"<D({group.inv(g)})> = {expectations.values[group.inv(g)]} is not the "
             f"conjugate of <D({g})> = {expectations.values[g]}")
-
-    # averages near 1e308 can overflow the sum into inf and NaN, which fail below
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = irrep.group_sum(v[group.inverse])
-        # argmax names the first worst element, or the first NaN
-        off = np.abs(irrep.traces(rho) - v)
     worst_i = int(np.argmax(off))
     worst = float(off[worst_i])
     if not worst <= tol:
@@ -270,10 +269,13 @@ def outcome_probabilities(rho: np.ndarray, symmetry: np.ndarray) -> OutcomeDistr
     require(unit_residual, "max |U U^dag - I|", NotUnitary)
     split = _spectral_split(symmetry.tobytes(), rho.shape[0], unit_residual)
 
-    probs = (split.vecs.conj() * (rho @ split.vecs)).sum(axis=0).real.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):   # a huge state gives inf or NaN
+        probs = (split.vecs.conj() * (rho @ split.vecs)).sum(axis=0).real.tolist()
     totals = [0.0] * len(split.eigenvalues)
     for i, p in zip(split.run, probs):
         totals[i] += p
+    if not all(map(math.isfinite, totals)):
+        raise ValueError("state is too large: an outcome probability overflows")
     return OutcomeDistribution(eigenvalues=split.eigenvalues, probabilities=tuple(totals))
 
 
@@ -289,7 +291,11 @@ def expand_eigenket(zeta_ket: np.ndarray, symmetry_basis: Sequence[np.ndarray]) 
         raise ValueError("ket has a non-finite entry")
     require(_off_identity(basis.conj().T, basis), "max |<b_i|b_j> - delta_ij|",
             NonOrthonormalBasis)
-    return basis.conj().T @ zeta
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = basis.conj().T @ zeta
+    if not np.isfinite(coeffs).all():
+        raise ValueError("ket is too large: a coefficient <b_i|zeta> overflows")
+    return coeffs
 
 
 # ---------------------------------------------------------------- documents

@@ -318,3 +318,65 @@ def test_array_entries_at_the_boundary_fail_closed(name, value):
     except (ValueError, RBWError):
         return
     assert _finite(result), result
+
+
+# Two entries at once meet the same values and ±1.5e308, under the same oracle:
+# one huge entry can stay finite where two add up past the largest float.
+
+PAIR_BOUNDARY = BOUNDARY + [1.5e308, -1.5e308]
+_HADAMARD = [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]
+
+
+def _with_diagonal(x, y):
+    """_RHO with its diagonal entries set to x and y."""
+    return _poked(_poked(_RHO, (0, 0), x), (1, 1), y)
+
+
+def _averages_with_pair(x, y):
+    values = rbw.expectations_from_state(_RHO, _standard()).values
+    return ExpectationSet(_standard(), {**values, "(123)": x, "(132)": y})
+
+
+# "function(argument)" -> (call taking the two entries' values, their own
+# values, and the sign s that sets them to x and s*x for a walked value x)
+PAIR_WALKS = {
+    "expectations_from_state(rho_diagonal)": (
+        lambda x, y: rbw.expectations_from_state(_with_diagonal(x, y), _standard()).values,
+        (0.75, 0.25), 1),
+    "eigendecompose(rho_diagonal)": (lambda x, y: rbw.eigendecompose(_with_diagonal(x, y)),
+                                     (0.75, 0.25), 1),
+    "outcome_probabilities(rho_diagonal,identity)": (
+        lambda x, y: rbw.outcome_probabilities(_with_diagonal(x, y), np.eye(2)),
+        (0.75, 0.25), 1),
+    "outcome_probabilities(rho_diagonal,(123))": (
+        lambda x, y: rbw.outcome_probabilities(_with_diagonal(x, y),
+                                               _standard().matrix("(123)")),
+        (0.75, 0.25), 1),
+    "hamiltonian_expectation(rho_diagonal)": (
+        lambda x, y: rbw.hamiltonian_expectation(_with_diagonal(x, y), 1.5), (0.75, 0.25), 1),
+    "expand_eigenket(zeta_ket,hadamard)": (
+        lambda x, y: rbw.expand_eigenket(_poked(_poked(_KET, 0, x), 1, y), _HADAMARD),
+        (0.6, 0.8j), 1),
+    "reconstruct_density(conjugate_pair)": (
+        lambda x, y: rbw.reconstruct_density(_averages_with_pair(x, y)),
+        tuple(rbw.expectations_from_state(_RHO, _standard()).values[g]
+              for g in ("(123)", "(132)")), -1),
+}
+
+
+def test_the_pair_walk_covers_every_state_function_and_the_energy():
+    walked = {name.split("(")[0] for name in PAIR_WALKS}
+    assert walked == {name.split("(")[0] for name in ENTRY_WALKS} | {"hamiltonian_expectation"}
+    assert walked <= set(rbw.__all__)
+
+
+@pytest.mark.parametrize("value", PAIR_BOUNDARY, ids=repr)
+@pytest.mark.parametrize("name", sorted(PAIR_WALKS))
+def test_array_entry_pairs_at_the_boundary_fail_closed(name, value):
+    call, base, sign = PAIR_WALKS[name]
+    assert _finite(call(*base))
+    try:
+        result = call(value, sign * value)
+    except (ValueError, RBWError):
+        return
+    assert _finite(result), result

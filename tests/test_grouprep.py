@@ -29,6 +29,7 @@ from rbw.grouprep import (
     resolution_identity,
     verify_irrep,
 )
+from rbw.tolerance import exceeds
 
 
 def brute_orthogonality_residual(irrep):
@@ -862,6 +863,32 @@ def test_huge_irrep_entry_fails_verification_quietly():
         warnings.simplefilter("error")
         report = verify_irrep(load_irrep(doc, "sign"))
     assert not report.ok
+
+
+def _huge_standard():
+    # D((12)) near 1e308: finite, so the irrep is made; its products overflow
+    irr = catalog.s3_irreps()["standard"]
+    return Irrep(group=irr.group, n=2, name="standard",
+                 D={**irr.D, "(12)": np.full((2, 2), 1.5e308)})
+
+
+def test_huge_irrep_entry_fails_the_orthogonality_residual_quietly():
+    irr = _huge_standard()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = orthogonality_residual(irr)
+    assert not math.isfinite(residual)
+    assert exceeds(residual, "orthogonality residual") is not None
+
+
+def test_huge_irrep_entry_fails_the_resolution_identity_quietly():
+    irr = _huge_standard()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = resolution_identity(irr, "(12)")
+    assert not np.isfinite(out).all()
+    residual = float(np.max(np.abs(out - irr.matrix("(12)"))))
+    assert exceeds(residual, "resolution residual") is not None
 
 
 @pytest.mark.parametrize("pair", [["NaN", 0], [0, "inf"], [float("-inf"), 0],
